@@ -20,27 +20,18 @@ import numpy as np
 
 from . import __version__, evolution, mesh, minimizers, spectrum, starwaves
 from .errors import (
-    AssumptionError,
     BallExitError,
-    BlowUpError,
-    ConfigurationError,
     ConvergenceError,
     DomainError,
     FeasibilityError,
-    SchemaError,
+    GraphWaveError,
 )
-from .graphs import parse_graph
+from .graphs import StarGraphSpec, make_star, parse_graph
 
 SCHEMA_VERSION = 1
-_DOMAIN_ERRORS = (
-    SchemaError,
-    AssumptionError,
-    ConfigurationError,
-    DomainError,
-    FeasibilityError,
-    BallExitError,
-    BlowUpError,
-)
+# namespace entries that are not run parameters: where the output goes, the
+# seed (recorded on its own), and argparse's own bookkeeping
+_NOT_PARAMETERS = ("out", "seed", "command", "func")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     print(json.dumps(payload, indent=2, sort_keys=True, default=float))
 
 
@@ -72,34 +64,33 @@ def _write_csv(path: Path, header: list, rows) -> None:
             w.writerow([_csv_cell(x) for x in row])
 
 
-def _write_manifest(out: Path, command: str, params: dict, config_hash: str, seed) -> None:
+def _prepare(args):
+    """Create the output directory, parse the graph (if the command takes
+    one) and write the manifest; parameters are every parsed option except
+    those in _NOT_PARAMETERS.  Graph-less commands hash their parameters in
+    place of the graph config."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    graph_path = getattr(args, "graph", None)
+    if graph_path is not None:
+        text = Path(graph_path).read_text()
+        g = parse_graph(text)
+    else:
+        text = json.dumps(params, sort_keys=True, default=float)
+        g = None
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "parameters": params,
-        "graph_config_sha256": config_hash,
+        "graph_config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "tool_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-
-
-def _prepare(args, command: str, params: dict, graph_path=None):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if graph_path is not None:
-        text = Path(graph_path).read_text()
-        g = parse_graph(text)
-        config_hash = hashlib.sha256(text.encode()).hexdigest()
-    else:
-        g = None
-        config_hash = hashlib.sha256(
-            json.dumps(params, sort_keys=True, default=float).encode()
-        ).hexdigest()
-    _write_manifest(out, command, params, config_hash, getattr(args, "seed", None))
     return out, g
 
 
@@ -107,31 +98,31 @@ def _prepare(args, command: str, params: dict, graph_path=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
-    params = {"graph": args.graph, "h": args.h, "tol": args.tol}
-    out, g = _prepare(args, "spectrum", params, args.graph)
+def _cmd_spectrum(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     pair = spectrum.ground_state(d, tol=args.tol)
     report = spectrum.spectral_gap_report(pair)
     if args.dump_psi0:
         mesh.save_function_csv(pair.psi0, out / args.dump_psi0)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "lambda0": pair.lambda0,
-            "gap": pair.gap,
-            "residual": pair.residual,
-            "iterations": pair.iterations,
-            "isolation_certified": report["isolation_certified"],
-            "n_nodes": d.n_nodes,
-        }
-    )
-    return 0
-
-
-def _result_payload(res) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "lambda0": pair.lambda0,
+        "gap": pair.gap,
+        "residual": pair.residual,
+        "iterations": pair.iterations,
+        "isolation_certified": report["isolation_certified"],
+        "n_nodes": d.n_nodes,
+    }
+
+
+def _cmd_minimize(args, out, g) -> dict:
+    d = mesh.build(g, args.h)
+    init = mesh.load_function_csv(d, args.init) if args.init else None
+    res = minimizers.minimize(
+        d, args.p, args.c, args.r,
+        tau=args.tau, tol=args.tol, max_iter=args.max_iter, init=init,
+    )
+    mesh.save_function_csv(res.phi, out / "minimizer.csv")
+    return {
         "energy": res.energy,
         "omega": res.omega,
         "lambda0": res.lambda0,
@@ -144,73 +135,34 @@ def _result_payload(res) -> dict:
     }
 
 
-def _cmd_minimize(args) -> int:
-    params = {
-        "graph": args.graph, "p": args.p, "c": args.c, "r": args.r, "h": args.h,
-        "tol": args.tol, "tau": args.tau, "max_iter": args.max_iter, "init": args.init,
-    }
-    out, g = _prepare(args, "minimize", params, args.graph)
-    d = mesh.build(g, args.h)
-    init = mesh.load_function_csv(d, args.init) if args.init else None
-    res = minimizers.minimize(
-        d, args.p, args.c, args.r,
-        tau=args.tau, tol=args.tol, max_iter=args.max_iter, init=init,
-    )
-    mesh.save_function_csv(res.phi, out / "minimizer.csv")
-    _emit(_result_payload(res))
-    return 0
-
-
-def _cmd_closed_form(args) -> int:
-    params = {
-        "N": args.N, "gamma": args.gamma, "p": args.p, "omega": args.omega,
-        "j": args.j, "h": args.h, "length": args.length,
-    }
-    out, _ = _prepare(args, "closed-form", params)
-    from .graphs import StarGraphSpec, make_star
-
+def _cmd_closed_form(args, out, _) -> dict:
     wave = starwaves.ClosedFormWave(args.N, args.gamma, args.p, args.omega, args.j)
     d = mesh.build(make_star(StarGraphSpec(args.N, args.gamma, args.length)), args.h)
     u = starwaves.evaluate_wave(wave, d)
     mesh.save_function_csv(u, out / "profile.csv")
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "a_j": wave.a_j,
-            "shift": wave.shift,
-            "mass": mesh.mass(u),
-            "energy": minimizers.energy(u, args.p).total,
-            "omega": args.omega,
-            "threshold": starwaves.ClosedFormWave.threshold(args.N, args.gamma, args.j),
-        }
-    )
-    return 0
+    return {
+        "a_j": wave.a_j,
+        "shift": wave.shift,
+        "mass": mesh.mass(u),
+        "energy": minimizers.energy(u, args.p).total,
+        "omega": args.omega,
+        "threshold": starwaves.ClosedFormWave.threshold(args.N, args.gamma, args.j),
+    }
 
 
-def _cmd_mass_curve(args) -> int:
+def _cmd_mass_curve(args, out, _) -> dict:
     lo, hi, n = args.omega_range
-    params = {"N": args.N, "gamma": args.gamma, "p": args.p, "omega_range": [lo, hi, n]}
-    out, _ = _prepare(args, "mass-curve", params)
     omegas = np.geomspace(lo, hi, int(n))
     rows = [(w, starwaves.mass_curve(args.N, args.gamma, args.p, float(w))) for w in omegas]
     _write_csv(out / "mass_curve.csv", ["omega", "mass"], rows)
     window = starwaves.monotone_window(args.N, args.gamma, args.p)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "n_points": int(n),
-            "monotone_window": {"threshold": window[0], "omega_hi": window[1]},
-        }
-    )
-    return 0
-
-
-def _cmd_evolve(args) -> int:
-    params = {
-        "graph": args.graph, "p": args.p, "h": args.h, "dt": args.dt, "T": args.T,
-        "init": args.init, "sample_every": args.sample_every,
+    return {
+        "n_points": int(n),
+        "monotone_window": {"threshold": window[0], "omega_hi": window[1]},
     }
-    out, g = _prepare(args, "evolve", params, args.graph)
+
+
+def _cmd_evolve(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     u0 = mesh.load_function_csv(d, args.init)
     _, trace = evolution.evolve(d, args.p, u0, args.dt, args.T, sample_every=args.sample_every)
@@ -221,24 +173,15 @@ def _cmd_evolve(args) -> int:
     )
     m = np.array(trace.mass)
     e = np.array(trace.energy)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "t_final": trace.times[-1],
-            "mass_drift_rel": float(np.max(np.abs(m - m[0])) / m[0]),
-            "energy_drift_rel": float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30)),
-            "n_samples": len(trace.times),
-        }
-    )
-    return 0
-
-
-def _cmd_stability(args) -> int:
-    params = {
-        "graph": args.graph, "p": args.p, "h": args.h, "dt": args.dt, "T": args.T,
-        "delta": args.delta, "ref": args.ref, "mode": args.mode,
+    return {
+        "t_final": trace.times[-1],
+        "mass_drift_rel": float(np.max(np.abs(m - m[0])) / m[0]),
+        "energy_drift_rel": float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30)),
+        "n_samples": len(trace.times),
     }
-    out, g = _prepare(args, "stability", params, args.graph)
+
+
+def _cmd_stability(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     phi_ref = mesh.load_function_csv(d, args.ref)
     bump = None
@@ -253,21 +196,15 @@ def _cmd_stability(args) -> int:
         ["t", "orbit_distance", "mass_drift", "energy_drift"],
         zip(trace.times, trace.orbit_distance, trace.mass_drift, trace.energy_drift),
     )
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "sup_orbit_distance": float(np.max(trace.orbit_distance)),
-            "ref_h1_norm": math.sqrt(mesh.h1_norm_sq(phi_ref)),
-            "delta": args.delta,
-            "t_final": trace.times[-1],
-        }
-    )
-    return 0
+    return {
+        "sup_orbit_distance": float(np.max(trace.orbit_distance)),
+        "ref_h1_norm": math.sqrt(mesh.h1_norm_sq(phi_ref)),
+        "delta": args.delta,
+        "t_final": trace.times[-1],
+    }
 
 
-def _cmd_validate(args) -> int:
-    params = {"graph": args.graph, "p": args.p, "h": args.h}
-    out, g = _prepare(args, "validate", params, args.graph)
+def _cmd_validate(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     pair = spectrum.ground_state(d)
     lam0 = pair.lambda0
@@ -325,59 +262,40 @@ def _cmd_validate(args) -> int:
             f"{c['name']:<{width}}  value={c['value']:< .3e}  "
             f"threshold={c['threshold']:< .3e}  {'PASS' if c['pass'] else 'FAIL'}\n"
         )
-    _emit({"schema_version": SCHEMA_VERSION, "checks": checks, "all_pass": all_pass})
-    return 0 if all_pass else 1
-
-
-_SWEEP_CACHE: dict = {}
+    return {"checks": checks, "all_pass": all_pass}
 
 
 def _sweep_point(task):
-    """Run one minimize for the sweep; per-process discretization cache."""
-    graph_text, h, p, c, r, tau, tol, max_iter = task
-    key = (graph_text, h)
-    if key not in _SWEEP_CACHE:
-        g = parse_graph(graph_text)
-        d = mesh.build(g, h)
-        _SWEEP_CACHE[key] = (d, spectrum.ground_state(d))
-    d, ground = _SWEEP_CACHE[key]
+    """Run one minimize for the sweep; a typed failure becomes a row."""
+    d, ground, p, c, r, tau, tol, max_iter = task
     try:
         res = minimizers.minimize(
             d, p, c, r, tau=tau, tol=tol, max_iter=max_iter, ground=ground
         )
-        structure_ok = all(
-            res.diagnostics[k]
-            for k in ("phase_constant_ok", "positivity_ok",
-                      "energy_below_linear_ok", "ball_interior_ok")
-        )
-        return {
-            "c": c, "omega": res.omega, "energy": res.energy,
-            "g_norm_sq": res.g_norm_sq, "iterations": res.iterations,
-            "structure_ok": str(structure_ok), "status": "ok",
-        }
-    except (FeasibilityError, BallExitError, DomainError) as exc:
+    except (FeasibilityError, BallExitError, DomainError, ConvergenceError) as exc:
         return {"c": c, "omega": float("nan"), "energy": float("nan"),
                 "g_norm_sq": float("nan"), "iterations": 0,
                 "structure_ok": "False", "status": type(exc).__name__}
-    except ConvergenceError:
-        return {"c": c, "omega": float("nan"), "energy": float("nan"),
-                "g_norm_sq": float("nan"), "iterations": 0,
-                "structure_ok": "False", "status": "ConvergenceError"}
-
-
-def _cmd_sweep(args) -> int:
-    lo, hi, n = args.c_grid
-    if int(n) < 1:
-        raise SchemaError("sweep grid must contain at least one point")
-    params = {
-        "graph": args.graph, "p": args.p, "c_grid": [lo, hi, n], "r": args.r,
-        "h": args.h, "tau": args.tau, "tol": args.tol, "jobs": args.jobs,
+    structure_ok = all(
+        res.diagnostics[k]
+        for k in ("phase_constant_ok", "positivity_ok",
+                  "energy_below_linear_ok", "ball_interior_ok")
+    )
+    return {
+        "c": c, "omega": res.omega, "energy": res.energy,
+        "g_norm_sq": res.g_norm_sq, "iterations": res.iterations,
+        "structure_ok": str(structure_ok), "status": "ok",
     }
-    out, g = _prepare(args, "sweep", params, args.graph)
-    graph_text = Path(args.graph).read_text()
+
+
+def _cmd_sweep(args, out, g) -> dict:
+    lo, hi, n = args.c_grid
+    # one grid and one ground state, shared by every point (pickled to workers)
+    d = mesh.build(g, args.h)
+    ground = spectrum.ground_state(d)
     cs = np.geomspace(lo, hi, int(n))
     tasks = [
-        (graph_text, args.h, args.p, float(c), args.r, args.tau, args.tol, args.max_iter)
+        (d, ground, args.p, float(c), args.r, args.tau, args.tol, args.max_iter)
         for c in cs
     ]
     if args.jobs > 1:
@@ -394,18 +312,13 @@ def _cmd_sweep(args) -> int:
             for r in results
         ),
     )
-    lam0 = spectrum.ground_state(mesh.build(g, args.h)).lambda0
     n_ok = sum(1 for r in results if r["status"] == "ok")
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "lambda0": lam0,
-            "n_points": len(results),
-            "n_ok": n_ok,
-            "n_failed": len(results) - n_ok,
-        }
-    )
-    return 0
+    return {
+        "lambda0": ground.lambda0,
+        "n_points": len(results),
+        "n_ok": n_ok,
+        "n_failed": len(results) - n_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +340,21 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph=True):
+    def command(name, func, summary, graph=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
         if graph:
             sp.add_argument("graph", help="graph config JSON file")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed for perturbations")
+        return sp
 
-    sp = sub.add_parser("spectrum", help="linear ground state and spectral gap")
-    common(sp)
+    sp = command("spectrum", _cmd_spectrum, "linear ground state and spectral gap")
     sp.add_argument("--h", type=float, default=0.01)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--dump-psi0", default=None, metavar="FILE.csv")
-    sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("minimize", help="constrained energy minimizer on the mass sphere")
-    common(sp)
+    sp = command("minimize", _cmd_minimize, "constrained energy minimizer on the mass sphere")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--r", type=float, default=1.0)
@@ -450,10 +363,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=50000)
     sp.add_argument("--init", default=None, metavar="FILE.csv")
-    sp.set_defaults(func=_cmd_minimize)
 
-    sp = sub.add_parser("closed-form", help="exact star-graph standing wave profile")
-    common(sp, graph=False)
+    sp = command("closed-form", _cmd_closed_form,
+                 "exact star-graph standing wave profile", graph=False)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
@@ -461,28 +373,22 @@ def build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=0)
     sp.add_argument("--h", type=float, default=0.01)
     sp.add_argument("--length", type=float, default=40.0)
-    sp.set_defaults(func=_cmd_closed_form)
 
-    sp = sub.add_parser("mass-curve", help="mass of the ground branch vs omega")
-    common(sp, graph=False)
+    sp = command("mass-curve", _cmd_mass_curve, "mass of the ground branch vs omega", graph=False)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--omega-range", type=_range_triplet, required=True, metavar="lo:hi:n")
-    sp.set_defaults(func=_cmd_mass_curve)
 
-    sp = sub.add_parser("evolve", help="time-integrate the focusing flow")
-    common(sp)
+    sp = command("evolve", _cmd_evolve, "time-integrate the focusing flow")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--h", type=float, default=0.02)
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--init", required=True, metavar="FILE.csv")
     sp.add_argument("--sample-every", type=int, default=10)
-    sp.set_defaults(func=_cmd_evolve)
 
-    sp = sub.add_parser("stability", help="orbital stability experiment")
-    common(sp)
+    sp = command("stability", _cmd_stability, "orbital stability experiment")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--h", type=float, default=0.02)
     sp.add_argument("--dt", type=float, default=None)
@@ -491,16 +397,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--ref", required=True, metavar="FILE.csv")
     sp.add_argument("--mode", choices=["eigenfunction-bump", "multiplicative-noise"],
                     default="eigenfunction-bump")
-    sp.set_defaults(func=_cmd_stability)
 
-    sp = sub.add_parser("validate", help="run the oracle checks and print a pass/fail table")
-    common(sp)
+    sp = command("validate", _cmd_validate, "run the oracle checks and print a pass/fail table")
     sp.add_argument("--p", type=float, default=5.0)
     sp.add_argument("--h", type=float, default=0.01)
-    sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("sweep", help="minimize over a geometric mass grid")
-    common(sp)
+    sp = command("sweep", _cmd_sweep, "minimize over a geometric mass grid")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c-grid", type=_range_triplet, required=True, metavar="lo:hi:n")
     sp.add_argument("--r", type=float, default=1.0)
@@ -509,28 +411,28 @@ def build_parser() -> _Parser:
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=50000)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def dispatch(argv) -> int:
-    """Parse argv and run the subcommand, mapping errors to exit codes."""
+    """Parse argv, prepare the output directory and manifest, run the
+    subcommand and print its payload, mapping errors to exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "dt", "unset") is None:
         args.dt = args.h / 2.0
     try:
-        return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc),
-               "error_type": type(exc).__name__})
-        return 1
+        payload = args.func(args, *_prepare(args))
     except ConvergenceError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": str(exc),
-               "error_type": "ConvergenceError",
-               "residual": getattr(exc, "residual", None)})
+        _emit({"error": str(exc), "error_type": "ConvergenceError", "residual": exc.residual})
         return 2
+    except GraphWaveError as exc:
+        _emit({"error": str(exc), "error_type": type(exc).__name__})
+        return 1
+    _emit(payload)
+    # only validate reports a verdict; a failed check exits 1
+    return 0 if payload.get("all_pass", True) else 1
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,11 @@ transform: the discrete mass is conserved to solver accuracy, the scheme is
 second order in dt, and no nonlinear solve is needed.  Splitting methods
 are unavailable here (the vertex coupling rules out edge-wise Fourier
 diagonalization), which is what makes the graph-wide linear solve natural.
+
+Both ``evolve`` and ``stability_experiment`` run the one time loop,
+``_trajectory``: it checks the time grid, seeds the relaxation field, steps
+under the overflow guard and yields the sampled states; each caller only
+applies its own observables to those samples.
 """
 from __future__ import annotations
 
@@ -29,10 +34,10 @@ from .mesh import (
     GraphFunction,
     h1_inner,
     h1_norm_sq,
-    lp_norm,
     mass,
     quadratic_form,
 )
+from .minimizers import energy
 
 __all__ = [
     "EvolutionState",
@@ -44,6 +49,9 @@ __all__ = [
     "orbit_distance",
     "stability_experiment",
 ]
+
+# a step whose sup norm exceeds this multiple of the initial one is a blow-up
+_BLOW_UP_RATIO = 1e6
 
 
 @dataclass
@@ -112,6 +120,33 @@ class EvolutionTrace:
     sup: list
 
 
+def _n_steps(t_final: float, dt: float) -> int:
+    """Number of steps of size dt that land on t_final; anything other than
+    a positive whole number (to 1e-9 relative) is refused, never rounded."""
+    ratio = t_final / dt if dt else math.nan
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise DomainError(
+            f"t_final={t_final!r} is not a positive whole number of steps dt={dt!r}"
+        )
+    return n
+
+
+def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float,
+                n_steps: int, sample_every: int):
+    """The time loop: yield the state at t=0, after every sample_every-th
+    step and after the last step, stopping at the overflow guard."""
+    if sample_every < 1:
+        raise DomainError("sample_every must be a positive integer")
+    state = initial_state(u0, dt, p)
+    guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
+    yield state
+    for k in range(1, n_steps + 1):
+        state = step(state, d, p, sup_guard=guard)
+        if k % sample_every == 0 or k == n_steps:
+            yield state
+
+
 def evolve(
     d: Discretization,
     p: float | None,
@@ -119,33 +154,18 @@ def evolve(
     dt: float,
     t_final: float,
     sample_every: int = 1,
-    sup_guard_factor: float = 1e6,
 ) -> tuple[GraphFunction, EvolutionTrace]:
-    """Integrate to t_final, sampling (t, mass, energy, sup) along the way."""
-    n_steps = int(round(t_final / dt))
-    state = initial_state(u0, dt, p)
-    guard = sup_guard_factor * float(np.max(np.abs(u0.values)))
+    """Integrate to t_final, sampling (t, mass, energy, sup) along the way.
 
-    def observables(u):
-        e = 0.5 * quadratic_form(u)
-        if p is not None:
-            e -= lp_norm(u, p + 1.0) ** (p + 1.0) / (p + 1.0)
-        return mass(u), e, float(np.max(np.abs(u.values)))
-
+    t_final must be a whole number of steps dt (DomainError otherwise)."""
     trace = EvolutionTrace([], [], [], [])
-    m0, e0, s0 = observables(u0)
-    trace.times.append(0.0)
-    trace.mass.append(m0)
-    trace.energy.append(e0)
-    trace.sup.append(s0)
-    for k in range(1, n_steps + 1):
-        state = step(state, d, p, sup_guard=guard)
-        if k % sample_every == 0 or k == n_steps:
-            mk, ek, sk = observables(state.u)
-            trace.times.append(state.t)
-            trace.mass.append(mk)
-            trace.energy.append(ek)
-            trace.sup.append(sk)
+    for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
+        trace.times.append(state.t)
+        trace.mass.append(mass(state.u))
+        # p=None is the linear flow, whose energy is the quadratic part alone
+        trace.energy.append(0.5 * quadratic_form(state.u) if p is None
+                            else energy(state.u, p).total)
+        trace.sup.append(float(np.max(np.abs(state.u.values))))
     return state.u, trace
 
 
@@ -189,7 +209,8 @@ def stability_experiment(
     H1-normalized bump (typically the linear ground state);
     "multiplicative-noise" multiplies by 1 + delta * (seeded complex noise).
     The perturbed state is rescaled back to the reference mass, so the
-    comparison stays on the same sphere.
+    comparison stays on the same sphere.  As in ``evolve``, t_final must be
+    a whole number of steps dt.
     """
     if not delta >= 0:
         raise DomainError("perturbation size must be nonnegative")
@@ -210,21 +231,18 @@ def stability_experiment(
     u0 = GraphFunction(d, u0_vals)
     u0.values *= math.sqrt(c / mass(u0))
 
-    n_steps = int(round(t_final / dt))
-    sample_every = max(1, n_steps // n_samples)
-    state = initial_state(u0, dt, p)
-    guard = 1e6 * float(np.max(np.abs(u0.values)))
-    e0 = 0.5 * quadratic_form(u0) - lp_norm(u0, p + 1.0) ** (p + 1.0) / (p + 1.0)
+    n_steps = _n_steps(t_final, dt)
+    e0 = energy(u0, p).total
     e_scale = max(abs(e0), 1e-30)
 
-    trace = StabilityTrace([0.0], [orbit_distance(u0, phi_ref)[0]], [0.0], [0.0])
-    for k in range(1, n_steps + 1):
-        state = step(state, d, p, sup_guard=guard)
-        if k % sample_every == 0 or k == n_steps:
-            u = state.u
-            e = 0.5 * quadratic_form(u) - lp_norm(u, p + 1.0) ** (p + 1.0) / (p + 1.0)
-            trace.times.append(state.t)
-            trace.orbit_distance.append(orbit_distance(u, phi_ref)[0])
-            trace.mass_drift.append(abs(mass(u) - c) / c)
-            trace.energy_drift.append(abs(e - e0) / e_scale)
+    trace = StabilityTrace([], [], [], [])
+    for state in _trajectory(d, p, u0, dt, n_steps, max(1, n_steps // n_samples)):
+        u = state.u
+        trace.times.append(state.t)
+        trace.orbit_distance.append(orbit_distance(u, phi_ref)[0])
+        # drifts are measured from the start, where they are 0 by definition
+        # (the rescaled start has mass c only up to rounding)
+        start = state.t == 0.0
+        trace.mass_drift.append(0.0 if start else abs(mass(u) - c) / c)
+        trace.energy_drift.append(0.0 if start else abs(energy(u, p).total - e0) / e_scale)
     return trace

@@ -152,6 +152,9 @@ class MetricGraph:
         ids = self.vertex_ids()
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate vertex id")
+        edge_ids = [e.id for e in self.edges]
+        if len(set(edge_ids)) != len(edge_ids):
+            raise SchemaError("duplicate edge id")
         if not self.edges:
             raise SchemaError("graph has no edges")
         known = set(ids)
@@ -246,20 +249,40 @@ def default_truncation(lambda0_estimate: float) -> float:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+def _number(value, where: str) -> float:
+    """The one reader for numeric config fields: a finite number, or
+    SchemaError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
 def _parse_potential(obj, where: str) -> Potential:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: potential must be an object")
     kind = obj.get("type")
+
+    def num(key):
+        return _number(obj[key], f"{where}.potential.{key}")
+
     try:
         if kind == "zero":
             return ZeroPotential()
         if kind == "square_well":
-            return SquareWell(float(obj["depth"]), float(obj["start"]), float(obj["width"]))
+            return SquareWell(num("depth"), num("start"), num("width"))
         if kind == "gaussian":
-            return GaussianBump(float(obj["amplitude"]), float(obj["center"]), float(obj["width"]))
+            return GaussianBump(num("amplitude"), num("center"), num("width"))
         if kind == "samples":
-            return SampledPotential(tuple(float(x) for x in obj["x"]),
-                                    tuple(float(w) for w in obj["w"]))
+            if not (isinstance(obj["x"], list) and isinstance(obj["w"], list)):
+                raise SchemaError(f"{where}: potential.x and potential.w must be lists")
+            return SampledPotential(
+                tuple(_number(x, f"{where}.potential.x") for x in obj["x"]),
+                tuple(_number(w, f"{where}.potential.w") for w in obj["w"]),
+            )
     except KeyError as missing:
         raise SchemaError(f"{where}: potential missing field {missing}") from None
     raise SchemaError(f"{where}: unknown potential type {kind!r}")
@@ -286,7 +309,8 @@ def parse_graph(config_text: str) -> MetricGraph:
                     "potential": {...}}]}
 
     ``"to": null`` marks an external (half-line) edge; half-lines use
-    ``"length": "inf"`` and require ``"truncation"``.
+    ``"length": "inf"`` and require ``"truncation"``.  Every other number
+    must be finite (SchemaError otherwise), and edge ids must be unique.
     """
     try:
         doc = json.loads(config_text)
@@ -303,7 +327,8 @@ def parse_graph(config_text: str) -> MetricGraph:
         where = f"vertices[{i}]"
         if not isinstance(v, dict) or "id" not in v:
             raise SchemaError(f"{where}: vertex needs an 'id'")
-        vertices.append(Vertex(id=str(v["id"]), alpha=float(v.get("alpha", 0.0))))
+        alpha = _number(v.get("alpha", 0.0), f"{where}.alpha")
+        vertices.append(Vertex(id=str(v["id"]), alpha=alpha))
 
     edges = []
     for i, e in enumerate(doc["edges"]):
@@ -313,14 +338,10 @@ def parse_graph(config_text: str) -> MetricGraph:
         for req in ("id", "from", "length"):
             if req not in e:
                 raise SchemaError(f"{where}: missing field {req!r}")
-        raw_len = e["length"]
-        if raw_len == "inf":
+        if e["length"] == "inf":
             length = INFINITE
         else:
-            try:
-                length = float(raw_len)
-            except (TypeError, ValueError):
-                raise SchemaError(f"{where}.length: expected number or 'inf'") from None
+            length = _number(e["length"], f"{where}.length")
             if not length > 0:
                 raise SchemaError(f"{where}.length: edge length must be positive")
         trunc = e.get("truncation")
@@ -330,7 +351,7 @@ def parse_graph(config_text: str) -> MetricGraph:
                 frm=str(e["from"]),
                 to=None if e.get("to") is None else str(e["to"]),
                 length=length,
-                truncation=None if trunc is None else float(trunc),
+                truncation=None if trunc is None else _number(trunc, f"{where}.truncation"),
                 potential=_parse_potential(e.get("potential", {"type": "zero"}), where),
             )
         )

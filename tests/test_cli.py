@@ -1,9 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphwave.cli import dispatch
+from graphwave.cli import build_parser, dispatch
 from graphwave.graphs import StarGraphSpec, make_star, serialize_graph
 
 pytestmark = pytest.mark.usefixtures("monkeypatch")
@@ -17,9 +19,19 @@ def star_file(tmp_path):
 
 
 def run(capsys, argv):
-    code = dispatch([str(a) for a in argv])
+    argv = [str(a) for a in argv]
+    code = dispatch(argv)
     out = capsys.readouterr().out
+    assert_manifest_records_options(argv)
     return code, json.loads(out)
+
+
+def assert_manifest_records_options(argv):
+    """manifest.json's parameters are every parsed option except --out and --seed."""
+    parsed = vars(build_parser().parse_args(argv))
+    manifest = json.loads((Path(parsed["out"]) / "manifest.json").read_text())
+    expected = {k: v for k, v in parsed.items() if k not in ("out", "seed", "command", "func")}
+    assert manifest["parameters"] == json.loads(json.dumps(expected))
 
 
 def test_spectrum_command(tmp_path, capsys, star_file):
@@ -179,3 +191,41 @@ def test_sweep_records_per_point_failures(tmp_path, capsys, star_file):
     rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()[1:]
     assert any("FeasibilityError" in r for r in rows)
     assert any(r.endswith(",ok") for r in rows)
+
+
+@pytest.mark.parametrize(
+    "section, index, key, value",
+    [
+        ("vertices", 0, "alpha", "abc"),
+        ("vertices", 0, "alpha", math.nan),
+        ("edges", 0, "truncation", "x"),
+        ("edges", 0, "truncation", math.inf),
+        ("edges", 0, "length", "x"),
+        ("edges", 0, "potential",
+         {"type": "gaussian", "amplitude": math.nan, "center": 1.0, "width": 1.0}),
+        ("edges", 0, "potential", {"type": "samples", "x": 1.0, "w": 2.0}),
+        ("edges", 1, "id", "e1"),   # duplicate edge id
+    ],
+)
+def test_malformed_config_is_a_schema_error(tmp_path, capsys, section, index, key, value):
+    doc = json.loads(serialize_graph(make_star(StarGraphSpec(3, 1.0, 30.0))))
+    doc[section][index][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = dispatch(["spectrum", str(path), "--h", "0.5", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error_type"] == "SchemaError"
+
+
+def test_time_grid_error_exit_code(tmp_path, capsys, star_file):
+    out_cf = tmp_path / "cf"
+    code, _ = run(capsys, ["closed-form", "--N", "3", "--gamma", "1", "--p", "5", "--omega",
+                           "1", "--h", "0.5", "--length", "30", "--out", out_cf])
+    assert code == 0
+    code, payload = run(
+        capsys,
+        ["evolve", star_file, "--p", "5", "--h", "0.5", "--dt", "0.3", "--T", "1",
+         "--init", out_cf / "profile.csv", "--out", tmp_path / "ev"],
+    )
+    assert code == 1
+    assert payload["error_type"] == "DomainError"

@@ -83,6 +83,27 @@ def test_time_reversibility(small_setup):
     assert err <= 10.0 * n * abs(dt) ** 3
 
 
+@pytest.mark.parametrize(
+    "t_final, dt, sample_every",
+    [
+        (1.0, 0.3, 1),     # 3.33 steps: would stop early at t = 0.9
+        (0.01, 0.02, 1),   # dt > T: would take zero steps
+        (1.0, 0.0, 1),
+        (-1.0, 0.01, 1),
+        (float("nan"), 0.01, 1),
+        (1.0, 0.01, 0),    # sample_every must be positive
+    ],
+)
+def test_time_grid_must_be_whole_steps(small_setup, t_final, dt, sample_every):
+    d, gs = small_setup
+    u0 = GraphFunction(d, gs.psi0.values.astype(complex))
+    with pytest.raises(DomainError):
+        evolve(d, None, u0, dt, t_final, sample_every=sample_every)
+    if sample_every == 1:
+        with pytest.raises(DomainError):
+            stability_experiment(d, 6.0, u0, delta=0.0, t_final=t_final, dt=dt)
+
+
 def test_blow_up_guard_triggers(small_setup):
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
@@ -155,3 +176,16 @@ def test_noise_mode_is_seeded(reference_minimizer):
     with pytest.raises(DomainError):
         stability_experiment(d, 6.0, res.phi, delta=1e-2, t_final=0.1, dt=0.01,
                              mode="bogus")
+
+
+def test_stability_and_evolve_share_one_loop(reference_minimizer):
+    d, _, res = reference_minimizer
+    n_steps, n_samples, dt = 60, 7, 0.01
+    trace = stability_experiment(
+        d, 6.0, res.phi, delta=0.0, t_final=n_steps * dt, dt=dt, n_samples=n_samples
+    )
+    # delta = 0 leaves the start exactly at the reference profile
+    _, ev = evolve(d, 6.0, res.phi, dt, n_steps * dt, sample_every=n_steps // n_samples)
+    assert trace.times == ev.times
+    e0 = ev.energy[0]
+    assert trace.energy_drift == [abs(e - e0) / abs(e0) for e in ev.energy]
