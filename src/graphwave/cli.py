@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, evolution, mesh, minimizers, spectrum, starwaves
 from .errors import (
     BallExitError,
+    ConfigurationError,
     ConvergenceError,
     DomainError,
     FeasibilityError,
@@ -32,6 +33,8 @@ SCHEMA_VERSION = 1
 # namespace entries that are not run parameters: where the output goes, the
 # seed (recorded on its own), and argparse's own bookkeeping
 _NOT_PARAMETERS = ("out", "seed", "command", "func")
+# most worker processes `sweep --jobs` may start
+MAX_JOBS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +77,12 @@ def _prepare(args):
     out.mkdir(parents=True, exist_ok=True)
     graph_path = getattr(args, "graph", None)
     if graph_path is not None:
-        text = Path(graph_path).read_text()
+        try:
+            text = Path(graph_path).read_text()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read graph config {graph_path}: {exc.strerror}"
+            ) from None
         g = parse_graph(text)
     else:
         text = json.dumps(params, sort_keys=True, default=float)
@@ -290,6 +298,8 @@ def _sweep_point(task):
 
 def _cmd_sweep(args, out, g) -> dict:
     lo, hi, n = args.c_grid
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     # one grid and one ground state, shared by every point (pickled to workers)
     d = mesh.build(g, args.h)
     ground = spectrum.ground_state(d)
@@ -298,8 +308,9 @@ def _cmd_sweep(args, out, g) -> dict:
         (d, ground, args.p, float(c), args.r, args.tau, args.tol, args.max_iter)
         for c in cs
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]

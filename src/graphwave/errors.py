@@ -19,7 +19,9 @@ class AssumptionError(GraphWaveError):
 
 
 class ConfigurationError(GraphWaveError):
-    """Numerical parameters are unusable (e.g. grid step too large)."""
+    """Run settings are unusable: a numerical parameter (grid step too large
+    or too small for the node limit, worker count out of range) or an input
+    file that cannot be read."""
 
 
 class DomainError(GraphWaveError):

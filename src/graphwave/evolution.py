@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import BlowUpError, DomainError
 from .mesh import (
     Discretization,
     GraphFunction,
+    factor,
     h1_inner,
     h1_norm_sq,
     mass,
@@ -94,9 +93,9 @@ def step(
     dt = state.dt
     gam = 2.0 * _nonlinearity(u, p) - state.gamma_relax
     diag = 1j * d.m / dt + 0.5 * d.m * gam
-    lhs = (sp.diags(diag) - 0.5 * d.A).tocsc()
     rhs = (diag - d.m * gam) * u + 0.5 * (d.A @ u)
-    u_next = splu(lhs).solve(rhs)
+    # (diag - A/2) u = rhs, scaled by -2 (exact) into the A + diag(s) form
+    u_next = factor(d, -2.0 * diag)(-2.0 * rhs)
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError(f"non-finite state at t={state.t + dt}", t=state.t + dt)
     if sup_guard is not None and float(np.max(np.abs(u_next))) > sup_guard:

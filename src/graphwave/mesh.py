@@ -16,11 +16,11 @@ the diagonal of the lumped weights ``m``.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DomainError, SchemaError
 from .graphs import MetricGraph
@@ -29,6 +29,7 @@ __all__ = [
     "Discretization",
     "GraphFunction",
     "build",
+    "factor",
     "mass",
     "quadratic_form",
     "g_norm_sq",
@@ -41,6 +42,10 @@ __all__ = [
     "save_function_csv",
     "load_function_csv",
 ]
+
+# most nodes build() assembles; a step that needs more is refused before
+# anything is allocated
+MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,6 @@ class Discretization:
         self.K: sp.csr_matrix = K       # stiffness (gradient) part only
         self.target_h: float = target_h
         self.h_max: float = max(eg.h for eg in edge_grids)
-        self._solver_cache: dict = {}   # reused factorizations, keyed by consumer
 
     def zeros(self, dtype=np.complex128) -> "GraphFunction":
         return GraphFunction(self, np.zeros(self.n_nodes, dtype=dtype))
@@ -105,19 +109,26 @@ class GraphFunction:
 
 def build(g: MetricGraph, target_h: float) -> Discretization:
     """Grid + matrix assembly.  Every edge needs at least 4 cells, i.e.
-    target_h <= (shortest edge)/4."""
+    target_h <= (shortest edge)/4, and the grid may have at most MAX_NODES
+    nodes."""
     min_len = min(e.grid_length for e in g.edges)
     if not target_h > 0 or target_h > min_len / 4.0 * (1.0 + 1e-12):
         raise ConfigurationError(
             f"grid step {target_h} too large: at most (shortest edge)/4 = {min_len / 4.0}"
         )
+    # cell counts in floats: a tiny step gives inf here, not an OverflowError
+    cells = [max(4.0, np.ceil(e.grid_length / target_h)) for e in g.edges]
+    nodes = len(g.vertices) + sum(cells) - len(cells)
+    if not nodes <= MAX_NODES:
+        raise ConfigurationError(
+            f"grid step {target_h} gives {nodes:.3g} nodes, above the limit {MAX_NODES}"
+        )
 
     vertex_index = {v.id: i for i, v in enumerate(g.vertices)}
     next_free = len(g.vertices)
     grids = []
-    for e in g.edges:
+    for e, n_cells in zip(g.edges, map(int, cells)):
         length = e.grid_length
-        n_cells = max(4, math.ceil(length / target_h))
         h = length / n_cells
         x = np.linspace(0.0, length, n_cells + 1)
         gidx = np.empty(n_cells + 1, dtype=np.int64)
@@ -162,6 +173,26 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     K = (off + sp.diags(diag_k)).tocsr()
     A = (off + sp.diags(diag_k + diag_w + diag_alpha)).tocsr()
     return Discretization(g, tuple(grids), vertex_index, n_nodes, m, A, K, target_h)
+
+
+def factor(d: Discretization, shift: np.ndarray):
+    """Factor A + diag(shift) once; return solve(b) for that matrix.
+
+    The one linear-solver layer: the spectrum (A - sigma M), the flow
+    (M/tau + A) and the CN step all solve with the form matrix plus a
+    diagonal.  A complex shift gives a complex factor; a real factor applied
+    to a complex b solves the real and imaginary parts as two columns."""
+    lu = splu((d.A + sp.diags(shift)).tocsc())
+    if np.iscomplexobj(shift):
+        return lu.solve
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        if not np.iscomplexobj(b):
+            return lu.solve(b)
+        out = lu.solve(np.column_stack([b.real, b.imag]))
+        return out[:, 0] + 1j * out[:, 1]
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +279,11 @@ def save_function_csv(u: GraphFunction, path) -> None:
 def load_function_csv(d: Discretization, path) -> GraphFunction:
     """Read a (edge_id, x, re, im) table sampled on exactly this grid."""
     per_edge: dict[str, dict[float, complex]] = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read function CSV {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:

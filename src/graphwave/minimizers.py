@@ -11,8 +11,8 @@ where omega_hat is the instantaneous multiplier estimate
 sphere-tangential part of the gradient and makes the fixed points of the
 iteration exactly the discrete stationary states, so the stationary
 residual (the convergence metric) can actually reach the tolerance at a
-fixed tau.  The (M/tau + A) factorization is computed once per (grid, tau)
-and reused across iterations and across mass sweeps.
+fixed tau.  The (M/tau + A) factorization is computed once per call and
+reused across its iterations.
 
 The ball is monitored, never projected: leaving B(r) is evidence that the
 requested mass is outside the validated window and is surfaced as a typed
@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import BallExitError, ConvergenceError, DomainError, FeasibilityError
 from .mesh import (
     Discretization,
     GraphFunction,
+    factor,
     g_norm_sq,
     lp_norm,
     mass,
@@ -98,21 +97,6 @@ class MinimizerResult:
     max_mass_drift: float = 0.0   # worst |mass - c|/c over all iterates
 
 
-def _flow_solver(d: Discretization, tau: float):
-    """Cached factorization of (M/tau + A); real, applied to complex vectors."""
-    key = ("flow", float(tau))
-    lu = d._solver_cache.get(key)
-    if lu is None:
-        lu = splu((sp.diags(d.m / tau) + d.A).tocsc())
-        d._solver_cache[key] = lu
-    return lu
-
-
-def _solve_complex(lu, b: np.ndarray) -> np.ndarray:
-    out = lu.solve(np.column_stack([b.real, b.imag]))
-    return out[:, 0] + 1j * out[:, 1]
-
-
 def minimize(
     d: Discretization,
     p: float,
@@ -132,13 +116,20 @@ def minimize(
     and monitored against the ball.  Converges when the stationary residual
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
-    Raises FeasibilityError (c > r/lambda0), BallExitError (iterate left
-    B(r)), or ConvergenceError (iteration cap).
+    Raises DomainError (p < 5, c <= 0, tau not in (0, inf), tol <= 0; NaN
+    fails every check), FeasibilityError (c > r/lambda0), BallExitError
+    (iterate left B(r)), or ConvergenceError (iteration cap).
     """
-    if p < 5:
+    if not p >= 5:
         raise DomainError("local minimization is set up for p >= 5")
     if not c > 0:
         raise DomainError("mass c must be positive")
+    if tau is None:
+        tau = d.h_max
+    if not 0 < tau < math.inf:
+        raise DomainError(f"flow step tau must be positive and finite, got {tau!r}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
     if ground is None:
         ground = ground_state(d, tol=1e-10)
     lam0 = ground.lambda0
@@ -148,9 +139,7 @@ def minimize(
             f"mass c={c:.6g} exceeds the feasibility bound r/lambda0={c_max:.6g}: "
             "the sphere does not meet the ball"
         )
-    if tau is None:
-        tau = d.h_max
-    lu = _flow_solver(d, tau)
+    solve = factor(d, d.m / tau)
     m = d.m
 
     if init is None:
@@ -195,7 +184,7 @@ def minimize(
         if residual <= tol:
             break
         rhs = m * (u / tau + g - omega_hat * u)
-        v = _solve_complex(lu, rhs)
+        v = solve(rhs)
         u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
     else:
         raise ConvergenceError(

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .mesh import Discretization, GraphFunction
+from .mesh import Discretization, GraphFunction, factor
 
 __all__ = ["GroundStatePair", "ground_state", "spectral_gap_report"]
 
@@ -56,25 +54,21 @@ def _shift_invert_smallest(d, sigma, tol, max_iter, deflate=None, start=None):
     """
     A, m = d.A, d.m
     n = d.n_nodes
-    M = sp.diags(m)
     deflate = deflate or []
-
-    def factor(s):
-        return splu((A - s * M).tocsc())
 
     def project(w):
         for z in deflate:
             w = w - (m * z) @ w * z
         return w
 
-    lu = factor(sigma)
+    solve = factor(d, -sigma * m)
     v = project(np.ones(n) if start is None else start)
     v /= np.sqrt((m * v) @ v)
     mu = (v @ (A @ v))
     res = np.inf
     refactors = 0
     for it in range(1, max_iter + 1):
-        w = project(lu.solve(m * v))
+        w = project(solve(m * v))
         w /= np.sqrt((m * w) @ w)
         Aw = A @ w
         mu = (w @ Aw)
@@ -89,7 +83,7 @@ def _shift_invert_smallest(d, sigma, tol, max_iter, deflate=None, start=None):
             new_sigma = mu - (3.0 * res + 0.02 * (abs(mu) + 1.0))
             if new_sigma > sigma + 0.05 * abs(mu - sigma):
                 sigma = new_sigma
-                lu = factor(sigma)
+                solve = factor(d, -sigma * m)
                 refactors += 1
     raise ConvergenceError(
         f"eigenvalue iteration did not reach tol={tol} in {max_iter} iterations",

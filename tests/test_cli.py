@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphwave import cli, mesh, minimizers
 from graphwave.cli import build_parser, dispatch
 from graphwave.graphs import StarGraphSpec, make_star, serialize_graph
 
@@ -229,3 +230,97 @@ def test_time_grid_error_exit_code(tmp_path, capsys, star_file):
     )
     assert code == 1
     assert payload["error_type"] == "DomainError"
+
+
+def test_missing_input_files_are_configuration_errors(tmp_path, capsys, star_file):
+    missing = tmp_path / "missing.json"
+    code = dispatch(["spectrum", str(missing), "--out", str(tmp_path / "sp")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert str(missing) in payload["error"]
+
+    nope = tmp_path / "nope.csv"
+    code, payload = run(
+        capsys,
+        ["evolve", star_file, "--p", "5", "--h", "0.5", "--dt", "0.5", "--T", "1",
+         "--init", nope, "--out", tmp_path / "ev"],
+    )
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert str(nope) in payload["error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tau", "0"), ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"),
+     ("--tol", "0"), ("--tol", "nan"), ("--p", "nan"), ("--p", "4")],
+)
+def test_minimize_bad_numbers_are_domain_errors(tmp_path, capsys, monkeypatch, star_file,
+                                                option, value):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("arguments must be checked before any solve")
+
+    monkeypatch.setattr(minimizers, "ground_state", not_reached)
+    monkeypatch.setattr(minimizers, "factor", not_reached)
+    argv = {"--p": "6", "--c": "1.5", "--h": "0.5", "--tau": "1.0", "--tol": "1e-8"}
+    argv[option] = value
+    code, payload = run(
+        capsys, ["minimize", star_file, *sum(argv.items(), ()), "--out", tmp_path / "m"]
+    )
+    assert code == 1
+    assert payload["error_type"] == "DomainError"
+
+
+def test_sweep_jobs_bounds(tmp_path, capsys, monkeypatch, star_file):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("no worker may start for an out-of-range --jobs")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_workers)
+    argv = ["sweep", star_file, "--p", "6", "--c-grid", "1.0:2.0:3", "--h", "0.5",
+            "--tau", "1.0"]
+    # 100000000000 does not fit a C int, so it must be refused before any pool exists
+    for jobs in ("0", "-3", str(cli.MAX_JOBS + 1), "100000000000"):
+        code, payload = run(capsys, argv + ["--jobs", jobs, "--out", tmp_path / f"j{jobs}"])
+        assert code == 1
+        assert payload["error_type"] == "ConfigurationError"
+        assert str(cli.MAX_JOBS) in payload["error"]
+
+    # in range, the pool is never larger than the number of points
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, _ = run(capsys, argv + ["--jobs", str(cli.MAX_JOBS), "--out", tmp_path / "max"])
+    assert code == 0
+    assert sizes == [3]
+
+
+def test_grid_node_limit(tmp_path, capsys, monkeypatch, star_file):
+    # 1e-320 makes the cell count overflow to inf
+    code, payload = run(capsys, ["spectrum", star_file, "--h", "1e-320",
+                                 "--out", tmp_path / "tiny"])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    # the 3-star of truncation 30 at h = 0.5 has 3 * 59 + 1 = 178 nodes
+    monkeypatch.setattr(mesh, "MAX_NODES", 177)
+    code, payload = run(capsys, ["spectrum", star_file, "--h", "0.5",
+                                 "--out", tmp_path / "limit"])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert "above the limit 177" in payload["error"]

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwave import mesh
 from graphwave.errors import ConfigurationError, DomainError, SchemaError
+from graphwave.evolution import initial_state, step
 from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import (
     GraphFunction,
     build,
+    factor,
     g_norm_sq,
     gn_ratio,
     grad_norm_sq,
@@ -70,6 +74,18 @@ def test_segment_stiffness_matrix_hand_assembled():
 def test_build_rejects_large_step():
     with pytest.raises(ConfigurationError, match="too large"):
         build(segment_graph(1.0), 0.3)
+
+
+def test_build_node_limit(monkeypatch):
+    # the 1.0 segment at h = 0.25 has exactly 5 nodes
+    monkeypatch.setattr(mesh, "MAX_NODES", 5)
+    assert build(segment_graph(1.0), 0.25).n_nodes == 5
+    monkeypatch.setattr(mesh, "MAX_NODES", 4)
+    with pytest.raises(ConfigurationError, match="above the limit 4"):
+        build(segment_graph(1.0), 0.25)
+    # a step so small that the cell count overflows to inf
+    with pytest.raises(ConfigurationError, match="above the limit"):
+        build(segment_graph(1.0), 1e-320)
 
 
 def test_mass_examples(disc_h01, ground_h01):
@@ -253,3 +269,74 @@ def test_csv_rejects_missing_edge(tmp_path, disc_h02):
         fh.write("edge_id,x,re,im\nzz,0.0,1.0,0.0\n")
     with pytest.raises(SchemaError, match="missing edge"):
         load_function_csv(disc_h02, path)
+
+
+def test_csv_missing_file_is_a_configuration_error(tmp_path, disc_h02):
+    with pytest.raises(ConfigurationError, match="nope.csv"):
+        load_function_csv(disc_h02, tmp_path / "nope.csv")
+
+
+# ---------------------------------------------------------------------------
+# the solver layer on random small graphs (at most about 300 nodes)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_graphs(draw):
+    """A star, a tree, a cycle or a self-loop, each with one or more
+    half-lines, random lengths and couplings, and a grid step that keeps
+    the node count below about 300."""
+    kind = draw(st.sampled_from(["star", "tree", "cycle", "self-loop"]))
+    lengths = st.floats(1.0, 3.0)
+    alphas = st.floats(0.0, 1.5)
+    if kind == "star":
+        n_vertices, finite = 1, []
+    elif kind == "tree":
+        n_vertices = draw(st.integers(2, 4))
+        finite = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_vertices)]
+    elif kind == "cycle":
+        n_vertices = draw(st.integers(2, 4))
+        finite = [(k, (k + 1) % n_vertices) for k in range(n_vertices)]
+    else:
+        n_vertices, finite = 1, [(0, 0)]
+    vertices = tuple(Vertex(f"v{k}", draw(alphas)) for k in range(n_vertices))
+    edges = [Edge(f"f{k}", f"v{a}", f"v{b}", draw(lengths)) for k, (a, b) in enumerate(finite)]
+    n_half = draw(st.integers(2 if kind == "star" else 1, 3))
+    edges += [Edge(f"h{k}", f"v{draw(st.integers(0, n_vertices - 1))}", None, math.inf,
+                   draw(lengths)) for k in range(n_half)]
+    g = MetricGraph(vertices, tuple(edges)).validate()
+    min_len = min(e.grid_length for e in g.edges)
+    return build(g, min_len / 4.0 * draw(st.floats(0.5, 1.0)))
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_factor_matches_dense_solve(d, seed):
+    assert d.n_nodes <= 300
+    rng = np.random.default_rng(seed)
+    n = d.n_nodes
+    # real parts at least (1 - mu_min) m, with mu_min the bottom of A's
+    # spectrum relative to M, keep A + diag(s) >= M; imaginary parts of one sign
+    dense = d.A.toarray()
+    mu_min = np.linalg.eigvalsh(dense / np.sqrt(np.outer(d.m, d.m)))[0]
+    s_real = d.m * (rng.uniform(1.0, 20.0, n) - min(mu_min, 0.0))
+    s_complex = s_real + 1j * rng.choice([-1.0, 1.0]) * d.m * rng.uniform(2.0, 50.0, n)
+    b_real = rng.standard_normal(n)
+    b_complex = b_real + 1j * rng.standard_normal(n)
+    for s, b in ((s_real, b_real), (s_real, b_complex), (s_complex, b_complex)):
+        ref = np.linalg.solve(dense + np.diag(s), b)
+        x = factor(d, s)(b)
+        assert x.dtype == ref.dtype
+        assert rel_err(x, ref) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 0.1))
+def test_linear_step_conserves_mass(d, seed, dt):
+    rng = np.random.default_rng(seed)
+    u0 = GraphFunction(d, rng.standard_normal(d.n_nodes) + 1j * rng.standard_normal(d.n_nodes))
+    u1 = step(initial_state(u0, dt, None), d, None).u
+    assert abs(mass(u1) - mass(u0)) <= 1e-12 * mass(u0)
