@@ -4,7 +4,9 @@ Above the critical power the energy is unbounded below on the full mass
 sphere (see demo 04), so the minimization is restricted to the ball
 B(r) = { form[u] + 2 lambda0 ||u||^2 <= r }, which is compatible with the
 sphere exactly when c <= r / lambda0.  The normalized gradient flow
-descends the energy, renormalizing the mass after every step.
+descends the energy, renormalizing the mass after every step, and bordered
+Newton steps finish the solve once the flow is close ("iters" counts flow
+iterations, "newton" the Newton steps).
 
 The run prints the multiplier omega of each minimizer: it always sits
 strictly above lambda0 and slides down to lambda0 as the mass shrinks.
@@ -33,11 +35,13 @@ d = build(make_star(StarGraphSpec(3, 1.0, 40.0)), 0.01)
 gs = ground_state(d)
 print(f"lambda0 = {gs.lambda0:.8f}, feasibility bound r/lambda0 = {1.0 / gs.lambda0:.3f}\n")
 
-print(f"{'c':>7} {'omega':>11} {'omega-l0':>10} {'energy':>11} {'E+l0*c/2':>10} {'iters':>6}")
+print(f"{'c':>7} {'omega':>11} {'omega-l0':>10} {'energy':>11} {'E+l0*c/2':>10} {'iters':>6} "
+      f"{'newton':>6}")
 for c in (2.4, 1.6, 1.0, 0.6):
     res = minimize(d, P, c, 1.0, tau=1.0, tol=1e-9, ground=gs)
     print(f"{c:7.2f} {res.omega:11.7f} {res.omega - gs.lambda0:10.3e} "
-          f"{res.energy:11.6f} {res.energy + gs.lambda0 * c / 2:10.2e} {res.iterations:6d}")
+          f"{res.energy:11.6f} {res.energy + gs.lambda0 * c / 2:10.2e} {res.iterations:6d} "
+          f"{res.newton_steps:6d}")
 
 # oracle comparison at c = 1.6: gauge-align, then measure the H1 distance
 c = 1.6

@@ -23,7 +23,6 @@ from .errors import (
     BallExitError,
     ConfigurationError,
     ConvergenceError,
-    DomainError,
     FeasibilityError,
     GraphWaveError,
 )
@@ -138,6 +137,7 @@ def _cmd_minimize(args, out, g) -> dict:
         "r": res.r,
         "g_norm_sq": res.g_norm_sq,
         "iterations": res.iterations,
+        "newton_steps": res.newton_steps,
         "gradient_residual": res.gradient_residual,
         "diagnostics": res.diagnostics,
     }
@@ -274,13 +274,14 @@ def _cmd_validate(args, out, g) -> dict:
 
 
 def _sweep_point(task):
-    """Run one minimize for the sweep; a typed failure becomes a row."""
+    """Run one minimize for the sweep; a failure that depends on the point's
+    mass becomes a row."""
     d, ground, p, c, r, tau, tol, max_iter = task
     try:
         res = minimizers.minimize(
             d, p, c, r, tau=tau, tol=tol, max_iter=max_iter, ground=ground
         )
-    except (FeasibilityError, BallExitError, DomainError, ConvergenceError) as exc:
+    except (FeasibilityError, BallExitError, ConvergenceError) as exc:
         return {"c": c, "omega": float("nan"), "energy": float("nan"),
                 "g_norm_sq": float("nan"), "iterations": 0,
                 "structure_ok": "False", "status": type(exc).__name__}
@@ -300,6 +301,8 @@ def _cmd_sweep(args, out, g) -> dict:
     lo, hi, n = args.c_grid
     if not 1 <= args.jobs <= MAX_JOBS:
         raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
+    # an argument error is common to every point: refuse it before any solve
+    minimizers.check_arguments(args.p, lo, args.tau, args.tol)
     # one grid and one ground state, shared by every point (pickled to workers)
     d = mesh.build(g, args.h)
     ground = spectrum.ground_state(d)

@@ -181,8 +181,12 @@ def factor(d: Discretization, shift: np.ndarray):
     The one linear-solver layer: the spectrum (A - sigma M), the flow
     (M/tau + A) and the CN step all solve with the form matrix plus a
     diagonal.  A complex shift gives a complex factor; a real factor applied
-    to a complex b solves the real and imaginary parts as two columns."""
-    lu = splu((d.A + sp.diags(shift)).tocsc())
+    to a complex b solves the real and imaginary parts as two columns.
+    Raises DomainError when the matrix is exactly singular."""
+    try:
+        lu = splu((d.A + sp.diags(shift)).tocsc())
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        raise DomainError(f"A + diag(shift) is singular: {exc}") from None
     if np.iscomplexobj(shift):
         return lu.solve
 
@@ -297,15 +301,18 @@ def load_function_csv(d: Discretization, path) -> GraphFunction:
         table = per_edge.get(eg.edge_id)
         if table is None:
             raise SchemaError(f"function CSV is missing edge {eg.edge_id!r}")
-        xs = np.array(sorted(table))
-        for xi, gi in zip(eg.x, eg.gidx):
-            if gi < 0:
-                continue
-            k = int(np.argmin(np.abs(xs - xi)))
-            if abs(xs[k] - xi) > 1e-9 * (1.0 + abs(xi)):
-                raise SchemaError(
-                    f"function CSV does not match the grid on edge {eg.edge_id!r} "
-                    f"near x = {xi}"
-                )
-            vals[gi] = table[xs[k]]
+        xs, ys = (np.array(col) for col in zip(*sorted(table.items())))
+        keep = eg.gidx >= 0
+        x = eg.x[keep]
+        # the nearest tabulated x to a node is one of its two sorted neighbours
+        hi = np.minimum(np.searchsorted(xs, x), len(xs) - 1)
+        lo = np.maximum(hi - 1, 0)
+        k = np.where(np.abs(xs[hi] - x) < np.abs(xs[lo] - x), hi, lo)
+        bad = np.abs(xs[k] - x) > 1e-9 * (1.0 + np.abs(x))
+        if np.any(bad):
+            raise SchemaError(
+                f"function CSV does not match the grid on edge {eg.edge_id!r} "
+                f"near x = {x[np.argmax(bad)]}"
+            )
+        vals[eg.gidx[keep]] = ys[k]
     return GraphFunction(d, vals)

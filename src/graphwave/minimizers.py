@@ -11,21 +11,36 @@ where omega_hat is the instantaneous multiplier estimate
 sphere-tangential part of the gradient and makes the fixed points of the
 iteration exactly the discrete stationary states, so the stationary
 residual (the convergence metric) can actually reach the tolerance at a
-fixed tau.  The (M/tau + A) factorization is computed once per call and
-reused across its iterations.
+fixed tau.  The (M/tau + A) factorization is reused across the flow's
+iterations; it is made when the flow first steps, and again after each
+Newton attempt, so that only one factorization is alive at a time.
+
+The flow is only the globalization.  Each time its residual first drops
+below a new power of ten (from 1e-1 on), bordered Newton steps on the
+stationary equation try to finish the solve in a few factorizations of
+J = A + diag(omega m - p m |u|^{p-1}).  A Newton attempt either reaches the
+tolerance through steps that each stay in the ball, lower the residual and
+do not raise the energy, or it is discarded and the flow goes on.
 
 The ball is monitored, never projected: leaving B(r) is evidence that the
 requested mass is outside the validated window and is surfaced as a typed
-error.
+error.  Typed outcomes (ball exit, iteration cap) come from the flow alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BallExitError, ConvergenceError, DomainError, FeasibilityError
+from .errors import (
+    BallExitError,
+    ConvergenceError,
+    DomainError,
+    FeasibilityError,
+    GraphWaveError,
+)
 from .mesh import (
     Discretization,
     GraphFunction,
@@ -43,10 +58,15 @@ __all__ = [
     "energy",
     "feasibility_bound",
     "lagrange_multiplier",
+    "check_arguments",
     "minimize",
     "structure_diagnostics",
     "scaling_energy_curve",
 ]
+
+# most steps one Newton attempt takes (the 3-star minimizers for p = 5..7
+# and h = 0.1, 0.02 need 3 to 8 from a flow residual below 1e-1)
+_NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,7 @@ class MinimizerResult:
     diagnostics: dict = field(default_factory=dict)
     energy_history: list = field(default_factory=list)
     max_mass_drift: float = 0.0   # worst |mass - c|/c over all iterates
+    newton_steps: int = 0         # accepted Newton steps that finished the solve
 
 
 def minimize(
@@ -120,16 +141,9 @@ def minimize(
     fails every check), FeasibilityError (c > r/lambda0), BallExitError
     (iterate left B(r)), or ConvergenceError (iteration cap).
     """
-    if not p >= 5:
-        raise DomainError("local minimization is set up for p >= 5")
-    if not c > 0:
-        raise DomainError("mass c must be positive")
+    check_arguments(p, c, tau, tol)
     if tau is None:
         tau = d.h_max
-    if not 0 < tau < math.inf:
-        raise DomainError(f"flow step tau must be positive and finite, got {tau!r}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
     if ground is None:
         ground = ground_state(d, tol=1e-10)
     lam0 = ground.lambda0
@@ -139,59 +153,21 @@ def minimize(
             f"mass c={c:.6g} exceeds the feasibility bound r/lambda0={c_max:.6g}: "
             "the sphere does not meet the ball"
         )
-    solve = factor(d, d.m / tau)
-    m = d.m
-
     if init is None:
         u = ground.psi0.values.astype(np.complex128) * math.sqrt(c)
     else:
         u = init.values.astype(np.complex128).copy()
         if mass(GraphFunction(d, u)) == 0.0:
             raise DomainError("init function must be nonzero")
-    u *= math.sqrt(c / float(np.sum(m * np.abs(u) ** 2)))
-
-    residual = np.inf
-    res_history: list[float] = []
-    energy_history: list[float] = []
-    max_mass_drift = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        Au = d.A @ u
-        abs_u = np.abs(u)
-        g = abs_u ** (p - 1.0) * u
-        form = float(np.real(np.vdot(u, Au)))
-        power = float(np.sum(m * abs_u ** (p + 1.0)))
-        omega_hat = (power - form) / c
-        energy_history.append(0.5 * form - power / (p + 1.0))
-        max_mass_drift = max(max_mass_drift, abs(float(np.sum(m * abs_u**2)) - c) / c)
-
-        g_sq = form + 2.0 * lam0 * c
-        if g_sq > r:
-            raise BallExitError(
-                f"iterate {it} left the energy ball: ||u||_G^2 = {g_sq:.6g} > r = {r:.6g} "
-                "(mass too large for this ball)",
-                iteration=it,
-                g_norm_sq=g_sq,
-                r=r,
-            )
-        rvec = Au / m - g + omega_hat * u
-        residual = math.sqrt(float(np.sum(m * np.abs(rvec) ** 2)) / c)
-        res_history.append(residual)
-        if not np.isfinite(residual):
-            raise ConvergenceError(
-                f"flow diverged at iteration {it}", residual=residual, history=res_history
-            )
-        if residual <= tol:
-            break
-        rhs = m * (u / tau + g - omega_hat * u)
-        v = solve(rhs)
-        u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (residual {residual:.3e})",
-            residual=residual,
-            history=res_history,
+    u *= math.sqrt(c / float(np.sum(d.m * np.abs(u) ** 2)))
+    try:
+        u, it, residual, energy_history, max_mass_drift, newton_steps = _descend(
+            d, p, c, r, tau, tol, max_iter, lam0, u
         )
+    except GraphWaveError as exc:
+        # the traceback would hold _descend's frame, and with it the
+        # factorization and the iterates, for as long as the error is kept
+        raise exc.with_traceback(None)
 
     phi = GraphFunction(d, u)
     result = MinimizerResult(
@@ -207,9 +183,152 @@ def minimize(
         psi0=ground.psi0,
         energy_history=energy_history,
         max_mass_drift=max_mass_drift,
+        newton_steps=newton_steps,
     )
     result.diagnostics = structure_diagnostics(result)
     return result
+
+
+def check_arguments(p: float, c: float, tau: float | None, tol: float) -> None:
+    """minimize's argument checks, which need no grid (tau None stands for
+    the default, the grid step); NaN fails each.  Raises DomainError."""
+    if not p >= 5:
+        raise DomainError("local minimization is set up for p >= 5")
+    if not c > 0:
+        raise DomainError("mass c must be positive")
+    if tau is not None and not 0 < tau < math.inf:
+        raise DomainError(f"flow step tau must be positive and finite, got {tau!r}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+
+
+class _Iterate(NamedTuple):
+    """What the flow and the Newton polish measure at one iterate u."""
+    nonlin: np.ndarray      # |u|^{p-1} u
+    rvec: np.ndarray        # stationary residual Au/m - |u|^{p-1} u + omega_hat u
+    omega_hat: float        # (||u||_{p+1}^{p+1} - form[u]) / c
+    energy: float
+    g_sq: float             # ||u||_G^2 = form[u] + 2 lambda0 c
+    residual: float         # ||rvec||_{L2} / sqrt(c)
+    mass_drift: float       # |mass(u) - c| / c
+
+
+def _measure(d, p, c, lam0, u) -> _Iterate:
+    m = d.m
+    Au = d.A @ u
+    abs_u = np.abs(u)
+    nonlin = abs_u ** (p - 1.0) * u
+    form = float(np.real(np.vdot(u, Au)))
+    power = float(np.sum(m * abs_u ** (p + 1.0)))
+    omega_hat = (power - form) / c
+    rvec = Au / m - nonlin + omega_hat * u
+    return _Iterate(
+        nonlin=nonlin,
+        rvec=rvec,
+        omega_hat=omega_hat,
+        energy=0.5 * form - power / (p + 1.0),
+        g_sq=form + 2.0 * lam0 * c,
+        residual=math.sqrt(float(np.sum(m * np.abs(rvec) ** 2)) / c),
+        mass_drift=abs(float(np.sum(m * abs_u**2)) - c) / c,
+    )
+
+
+def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
+    """The normalized flow from u, polished by _newton each time its
+    residual first drops below a new power of ten.  Only the flow raises:
+    the ball exit and the iteration cap are decided by its iterates.
+
+    Returns (u, flow iterations, residual, energy history, worst mass
+    drift, accepted Newton steps)."""
+    solve = None   # the flow's factorization, made when the flow steps
+    m = d.m
+    res_history: list[float] = []
+    energy_history: list[float] = []
+    max_mass_drift = 0.0
+    residual = math.inf
+    next_polish = 0.1
+    for it in range(1, max_iter + 1):
+        s = _measure(d, p, c, lam0, u)
+        residual = s.residual
+        energy_history.append(s.energy)
+        max_mass_drift = max(max_mass_drift, s.mass_drift)
+        if s.g_sq > r:
+            raise BallExitError(
+                f"iterate {it} left the energy ball: ||u||_G^2 = {s.g_sq:.6g} > r = {r:.6g} "
+                "(mass too large for this ball)",
+                iteration=it,
+                g_norm_sq=s.g_sq,
+                r=r,
+            )
+        res_history.append(residual)
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                f"flow diverged at iteration {it}", residual=residual, history=res_history
+            )
+        if residual <= tol:
+            return u, it, residual, energy_history, max_mass_drift, 0
+        if residual < next_polish:
+            while next_polish > residual:
+                next_polish /= 10.0
+            solve = None   # keep one factorization alive at a time
+            polished = _newton(d, p, c, r, lam0, tol, u)
+            if polished is not None:
+                u, steps = polished
+                energy_history += [t.energy for t in steps]
+                max_mass_drift = max([max_mass_drift] + [t.mass_drift for t in steps])
+                return u, it, steps[-1].residual, energy_history, max_mass_drift, len(steps)
+        if solve is None:
+            solve = factor(d, m / tau)
+        v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
+        u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations (residual {residual:.3e})",
+        residual=residual,
+        history=res_history,
+    )
+
+
+def _newton(d, p, c, r, lam0, tol, u):
+    """Bordered Newton steps (Keller) on F(v, omega) = A v + omega m v -
+    m |v|^{p-1} v = 0 with sum m v^2 = c, from the flow iterate u.
+
+    Each step factors J = A + diag(omega_hat m - p m |v|^{p-1}), solves
+    J a = -F and J b = m v, and moves v by a - domega b, with domega fixing
+    the mass to first order; v is then renormalized to mass c.  A step is
+    kept only if it is finite, stays in B(r), lowers the residual and does
+    not raise the energy by more than 1e-12 |E|.  Returns (u, the accepted
+    iterates' measurements) once the residual is <= tol, or None: after a
+    rejected step, a singular J, _NEWTON_STEPS steps, or when u has no
+    constant phase to gauge away.  Never raises."""
+    m = d.m
+    k = int(np.argmax(np.abs(u)))
+    phase = u[k] / abs(u[k])
+    v = u * np.conj(phase)
+    if np.max(np.abs(v.imag)) > 1e-8 * abs(u[k]):
+        return None
+    v = v.real
+    s = _measure(d, p, c, lam0, v)
+    steps = []
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            mv = m * v
+            shift = s.omega_hat * m - p * m * np.abs(v) ** (p - 1.0)
+            try:
+                a, b = factor(d, shift)(np.column_stack([-m * s.rvec, mv])).T
+            except DomainError:
+                return None
+            domega = (mv @ a + (mv @ v - c) / 2.0) / (mv @ b)
+            w = v + a - domega * b
+            w *= np.sqrt(c / np.sum(m * w * w))
+            t = _measure(d, p, c, lam0, w)
+            if not (math.isfinite(t.residual) and t.g_sq <= r and t.residual < s.residual
+                    and t.energy <= s.energy + 1e-12 * abs(s.energy)):
+                return None
+            v, s = w, t
+            steps.append(t)
+            if t.residual <= tol:
+                return phase * v, steps
+    return None
 
 
 def structure_diagnostics(res: MinimizerResult, interior_slack: float = 0.05) -> dict:

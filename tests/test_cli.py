@@ -324,3 +324,32 @@ def test_grid_node_limit(tmp_path, capsys, monkeypatch, star_file):
     assert code == 1
     assert payload["error_type"] == "ConfigurationError"
     assert "above the limit 177" in payload["error"]
+
+
+@pytest.mark.parametrize("option, value", [("--tau", "0"), ("--tol", "nan"), ("--p", "3")])
+def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, option, value):
+    # an argument error is common to every point, so it fails the run, not rows
+    def not_reached(*args, **kwargs):
+        raise AssertionError("arguments must be checked before any worker or solve")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", not_reached)
+    monkeypatch.setattr(cli.spectrum, "ground_state", not_reached)
+    argv = {"--p": "6", "--c-grid": "1.0:2.0:3", "--h": "0.5", "--tau": "1.0",
+            "--tol": "1e-8", "--jobs": "2"}
+    argv[option] = value
+    code, payload = run(capsys, ["sweep", star_file, *sum(argv.items(), ()),
+                                 "--out", tmp_path / "sw"])
+    assert code == 1
+    assert payload["error_type"] == "DomainError"
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_minimize_reports_newton_steps(tmp_path, capsys, star_file):
+    code, payload = run(
+        capsys,
+        ["minimize", star_file, "--p", "6", "--c", "1.5", "--h", "0.05",
+         "--out", tmp_path / "m"],
+    )
+    assert code == 0
+    assert payload["newton_steps"] >= 1
+    assert payload["gradient_residual"] <= 1e-8

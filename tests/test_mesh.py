@@ -276,6 +276,36 @@ def test_csv_missing_file_is_a_configuration_error(tmp_path, disc_h02):
         load_function_csv(disc_h02, tmp_path / "nope.csv")
 
 
+def test_csv_shuffled_rows_load_identically(tmp_path, disc_h02, rng):
+    u = GraphFunction(
+        disc_h02,
+        rng.standard_normal(disc_h02.n_nodes) + 1j * rng.standard_normal(disc_h02.n_nodes),
+    )
+    path = tmp_path / "fn.csv"
+    save_function_csv(u, path)
+    header, *rows = path.read_text().splitlines()
+    rng.shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    np.testing.assert_array_equal(load_function_csv(disc_h02, path).values, u.values)
+
+
+@pytest.mark.parametrize("rel, ok", [(0.5e-9, True), (2e-9, False)])
+def test_csv_match_tolerance(tmp_path, disc_h02, rel, ok):
+    # x is matched to 1e-9 (1 + |x|): at x = 10 a 2e-9 relative shift is out
+    path = tmp_path / "fn.csv"
+    save_function_csv(disc_h02.constant(1.0), path)
+    header, *rows = path.read_text().splitlines()
+    k = next(i for i, row in enumerate(rows) if row.split(",")[1] == "10.0")
+    edge, x, re_, im = rows[k].split(",")
+    rows[k] = ",".join([edge, repr(float(x) * (1.0 + rel)), re_, im])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    if ok:
+        assert np.all(load_function_csv(disc_h02, path).values == 1.0)
+    else:
+        with pytest.raises(SchemaError, match="near x = 10.0"):
+            load_function_csv(disc_h02, path)
+
+
 # ---------------------------------------------------------------------------
 # the solver layer on random small graphs (at most about 300 nodes)
 # ---------------------------------------------------------------------------
@@ -306,6 +336,14 @@ def small_graphs(draw):
     g = MetricGraph(vertices, tuple(edges)).validate()
     min_len = min(e.grid_length for e in g.edges)
     return build(g, min_len / 4.0 * draw(st.floats(0.5, 1.0)))
+
+
+def test_factor_singular_matrix_is_a_domain_error():
+    # Neumann segment without coupling: constants span the kernel of A, and
+    # with h = 1/4 the elimination is exact, so SuperLU meets a zero pivot
+    d = build(segment_graph(1.0), 0.25)
+    with pytest.raises(DomainError, match="singular"):
+        factor(d, np.zeros(d.n_nodes))
 
 
 def rel_err(x, ref):

@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from graphwave import mesh
+from graphwave import mesh, minimizers
 from graphwave.errors import BallExitError, ConvergenceError, DomainError, FeasibilityError
 from graphwave.graphs import StarGraphSpec, make_star
 from graphwave.mesh import GraphFunction, h1_norm_sq, lp_norm, mass, quadratic_form
@@ -15,7 +17,13 @@ from graphwave.minimizers import (
     scaling_energy_curve,
     structure_diagnostics,
 )
-from graphwave.starwaves import ClosedFormWave, evaluate_wave, solve_omega_for_mass
+from graphwave.starwaves import (
+    ClosedFormWave,
+    evaluate_wave,
+    mass_curve,
+    monotone_window,
+    solve_omega_for_mass,
+)
 
 from conftest import C_REF_P6, OMEGA_REF_P6
 
@@ -224,3 +232,41 @@ def test_scaling_curve_rejects_non_star():
     d = mesh.build(g, 0.05)
     with pytest.raises(DomainError, match="star"):
         scaling_energy_curve(d, 7.0, d.constant(1.0), [1.0])
+
+
+@pytest.mark.parametrize("error", [BallExitError, ConvergenceError])
+def test_typed_error_releases_factorizations(monkeypatch, disc_h02, ground_h02, error):
+    # a caller that keeps the error (the CLI, a benchmark gate) must not keep
+    # the multi-MB factorizations of the flow and of the Newton attempts alive
+    solves = []
+
+    def recording_factor(d, shift):
+        solve = mesh.factor(d, shift)
+        solves.append(weakref.ref(solve))
+        return solve
+
+    monkeypatch.setattr(minimizers, "factor", recording_factor)
+    if error is BallExitError:
+        args = dict(c=0.98 / ground_h02.lambda0, p=7.0)
+    else:   # Newton is tried at every decade on the way and fails at round-off
+        args = dict(c=1.5, p=6.0, tau=1.0, tol=1e-16, max_iter=60)
+    gc.disable()
+    try:
+        try:
+            minimize(disc_h02, r=1.0, ground=ground_h02, **args)
+        except error as exc:
+            kept = exc
+        assert kept.__traceback__ is not None
+        assert solves and all(ref() is None for ref in solves)
+    finally:
+        gc.enable()
+
+
+def test_newton_keeps_the_ball_exit(disc_h02, ground_h02):
+    # at 0.8 omega_hi the loose flow is still inside B(1), and Newton from it
+    # would land on a stationary point with ||u||_G^2 = 1.105; the flow,
+    # which decides the outcome, leaves the ball
+    omega_hi = monotone_window(3, 1.0, 6.0)[1]
+    c = mass_curve(3, 1.0, 6.0, 0.8 * omega_hi)
+    with pytest.raises(BallExitError):
+        minimize(disc_h02, 6.0, c, 1.0, tau=1.0, ground=ground_h02)
