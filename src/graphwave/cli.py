@@ -129,18 +129,9 @@ def _cmd_minimize(args, out, g) -> dict:
         tau=args.tau, tol=args.tol, max_iter=args.max_iter, init=init,
     )
     mesh.save_function_csv(res.phi, out / "minimizer.csv")
-    return {
-        "energy": res.energy,
-        "omega": res.omega,
-        "lambda0": res.lambda0,
-        "c": res.c,
-        "r": res.r,
-        "g_norm_sq": res.g_norm_sq,
-        "iterations": res.iterations,
-        "newton_steps": res.newton_steps,
-        "gradient_residual": res.gradient_residual,
-        "diagnostics": res.diagnostics,
-    }
+    return {k: getattr(res, k) for k in (
+        "energy", "omega", "lambda0", "c", "r", "g_norm_sq", "iterations", "newton_steps",
+        "gradient_residual", "diagnostics")}
 
 
 def _cmd_closed_form(args, out, _) -> dict:
@@ -317,15 +308,8 @@ def _cmd_sweep(args, out, g) -> dict:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    _write_csv(
-        out / "sweep.csv",
-        ["c", "omega", "energy", "g_norm_sq", "iterations", "structure_ok", "status"],
-        (
-            [r["c"], r["omega"], r["energy"], r["g_norm_sq"], r["iterations"],
-             r["structure_ok"], r["status"]]
-            for r in results
-        ),
-    )
+    columns = ["c", "omega", "energy", "g_norm_sq", "iterations", "structure_ok", "status"]
+    _write_csv(out / "sweep.csv", columns, ([r[k] for k in columns] for r in results))
     n_ok = sum(1 for r in results if r["status"] == "ok")
     return {
         "lambda0": ground.lambda0,

@@ -20,8 +20,8 @@ class AssumptionError(GraphWaveError):
 
 class ConfigurationError(GraphWaveError):
     """Run settings are unusable: a numerical parameter (grid step too large
-    or too small for the node limit, worker count out of range) or an input
-    file that cannot be read."""
+    or too small for the node limit, too many vertices, worker count out of
+    range) or an input file that cannot be read."""
 
 
 class DomainError(GraphWaveError):

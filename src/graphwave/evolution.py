@@ -87,15 +87,17 @@ def step(
     d: Discretization,
     p: float | None,
     sup_guard: float | None = None,
+    _solve=None,
 ) -> EvolutionState:
-    """One relaxation Crank-Nicolson step; p=None integrates the linear flow."""
+    """One relaxation Crank-Nicolson step; p=None integrates the linear flow
+    (_trajectory passes its one factor of that flow's matrix as _solve)."""
     u = state.u.values
     dt = state.dt
     gam = 2.0 * _nonlinearity(u, p) - state.gamma_relax
     diag = 1j * d.m / dt + 0.5 * d.m * gam
     rhs = (diag - d.m * gam) * u + 0.5 * (d.A @ u)
     # (diag - A/2) u = rhs, scaled by -2 (exact) into the A + diag(s) form
-    u_next = factor(d, -2.0 * diag)(-2.0 * rhs)
+    u_next = (_solve or factor(d, -2.0 * diag))(-2.0 * rhs)
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError(f"non-finite state at t={state.t + dt}", t=state.t + dt)
     if sup_guard is not None and float(np.max(np.abs(u_next))) > sup_guard:
@@ -139,9 +141,11 @@ def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float
         raise DomainError("sample_every must be a positive integer")
     state = initial_state(u0, dt, p)
     guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
+    # without the nonlinearity the CN matrix never changes: factor it once
+    solve = factor(d, -2.0 * (1j * d.m / dt)) if p is None else None
     yield state
     for k in range(1, n_steps + 1):
-        state = step(state, d, p, sup_guard=guard)
+        state = step(state, d, p, sup_guard=guard, _solve=solve)
         if k % sample_every == 0 or k == n_steps:
             yield state
 
@@ -175,10 +179,10 @@ def orbit_distance(u: GraphFunction, phi_ref: GraphFunction) -> tuple[float, flo
     (min_theta ||u - e^{i theta} phi_ref||_{H1}, theta)."""
     if mass(phi_ref) == 0.0:
         raise DomainError("reference profile must be nonzero")
-    ip = h1_inner(u, phi_ref)
-    theta = float(np.angle(ip))
-    dist_sq = h1_norm_sq(u) + h1_norm_sq(phi_ref) - 2.0 * abs(ip)
-    return math.sqrt(max(dist_sq, 0.0)), theta
+    theta = float(np.angle(h1_inner(u, phi_ref)))
+    # the difference itself: ||u||^2 + ||phi||^2 - 2|<u, phi>| would cancel
+    diff = GraphFunction(u.disc, u.values - np.exp(1j * theta) * phi_ref.values)
+    return math.sqrt(h1_norm_sq(diff)), theta
 
 
 @dataclass

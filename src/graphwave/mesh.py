@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, DomainError, SchemaError
 from .graphs import MetricGraph
@@ -43,9 +43,10 @@ __all__ = [
     "load_function_csv",
 ]
 
-# most nodes build() assembles; a step that needs more is refused before
-# anything is allocated
+# most nodes and vertices build() accepts (factor's Schur complement is a
+# dense V x V matrix); larger grids are refused before anything is allocated
 MAX_NODES = 10**7
+MAX_VERTICES = 1000
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,17 @@ class Discretization:
         self.K: sp.csr_matrix = K       # stiffness (gradient) part only
         self.target_h: float = target_h
         self.h_max: float = max(eg.h for eg in edge_grids)
+        # factor's static pattern: each edge's interior follows the V vertex
+        # nodes as one run, so the interior block of A is tridiagonal (zero
+        # between edges) and meets the end vertices only at its end nodes
+        V = len(vertex_index)
+        ends = np.array([(eg.gidx[0], eg.gidx[-1] if eg.gidx[-1] >= 0 else eg.gidx[0])
+                         for eg in edge_grids])   # a half-line's far end: its own vertex
+        pos = np.array([(eg.gidx[1], eg.gidx[-2]) for eg in edge_grids])
+        self._diag, self._off, self._A_VV = A.diagonal(), A.diagonal(1)[V:], A[:V, :V].toarray()
+        self._ends, self._pos = ends, pos - V
+        self._coef = np.asarray(A[ends.ravel(), pos.ravel()]).reshape(-1, 2)
+        self._node_ends = np.repeat(ends, [eg.gidx.size - 2 for eg in edge_grids], axis=0)
 
     def zeros(self, dtype=np.complex128) -> "GraphFunction":
         return GraphFunction(self, np.zeros(self.n_nodes, dtype=dtype))
@@ -123,6 +135,10 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
         raise ConfigurationError(
             f"grid step {target_h} gives {nodes:.3g} nodes, above the limit {MAX_NODES}"
         )
+    if len(g.vertices) > MAX_VERTICES:
+        raise ConfigurationError(
+            f"graph has {len(g.vertices)} vertices, above the limit {MAX_VERTICES}"
+        )
 
     vertex_index = {v.id: i for i, v in enumerate(g.vertices)}
     next_free = len(g.vertices)
@@ -176,25 +192,60 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
 
 
 def factor(d: Discretization, shift: np.ndarray):
-    """Factor A + diag(shift) once; return solve(b) for that matrix.
+    """Factor A + diag(shift) once; return solve(b), b of shape (n,) or (n, k).
 
-    The one linear-solver layer: the spectrum (A - sigma M), the flow
-    (M/tau + A) and the CN step all solve with the form matrix plus a
-    diagonal.  A complex shift gives a complex factor; a real factor applied
-    to a complex b solves the real and imaginary parts as two columns.
-    Raises DomainError when the matrix is exactly singular."""
-    try:
-        lu = splu((d.A + sp.diags(shift)).tocsc())
-    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
-        raise DomainError(f"A + diag(shift) is singular: {exc}") from None
-    if np.iscomplexobj(shift):
-        return lu.solve
+    The one solver of the spectrum, the flow, Newton and the CN step: an
+    O(n) edge/vertex elimination.  LAPACK ?gttrf factors the interior block
+    T (see Discretization) with partial pivoting, safe for indefinite and
+    complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
+    B T^{-1} B^T.  A real factor solves a complex b as real and imaginary
+    columns.  Raises DomainError when a pivot of T or S is at or below
+    n eps max|diag|: the matrix is singular to working precision."""
+    V, n = len(d.vertex_index), d.n_nodes
+    diag = d._diag + shift
+    gttrf, gttrs, getrf, getrs = get_lapack_funcs(
+        ("gttrf", "gttrs", "getrf", "getrs"), dtype=diag.dtype)
+    dl, dt, du, du2, ipiv, _ = gttrf(d._off, diag[V:], d._off)
+    # Z = T^{-1} B^T, two coefficients per interior node: column j answers
+    # each edge's coupling at its j-th end (none at a half-line's far end)
+    ends, pos, coef = d._ends, d._pos, d._coef
+    Z = np.zeros((n - V, 2), diag.dtype, order="F")
+    Z[pos, [0, 1]] = coef
+    cols = 2 if coef[:, 1].any() else 1
+    Z[:, :cols] = gttrs(dl, dt, du, du2, ipiv, Z[:, :cols])[0]
+    S = d._A_VV + np.diag(shift[:V])
+    np.add.at(S, (ends[:, :, None], ends[:, None, :]), -coef[:, :, None] * Z[pos])
+    lu, piv, _ = getrf(S)
+    worst = min(np.min(np.abs(dt)), np.min(np.abs(np.diag(lu))))
+    if not worst > n * np.finfo(float).eps * np.max(np.abs(diag)):
+        raise DomainError(f"A + diag(shift) is singular: pivot {worst:.3g} <= n eps max|diag|")
+    # x_I = y - Z x_V cancels digits when T is nearly singular, as a shift
+    # near a Dirichlet eigenvalue of an edge makes it; |Z| >> 1 shows the
+    # loss, and one step of iterative refinement wins the digits back
+    parts = Z.ravel(order="K").view(float)
+    refine = max(parts.max(), -parts.min()) > 10.0
+    A, s_col, node_ends, real = d.A, np.asarray(shift)[:, None], d._node_ends, diag.dtype == float
+
+    def eliminate(x):
+        y = gttrs(dl, dt, du, du2, ipiv, x[V:])[0]
+        r = x[:V].copy()
+        np.add.at(r, ends, -coef[:, :, None] * y[pos])
+        x_v = getrs(lu, piv, r)[0]
+        for j in range(cols):
+            y -= Z[:, j:j + 1] * x_v[node_ends[:, j]]
+        return np.vstack([x_v, y])
 
     def solve(b: np.ndarray) -> np.ndarray:
-        if not np.iscomplexobj(b):
-            return lu.solve(b)
-        out = lu.solve(np.column_stack([b.real, b.imag]))
-        return out[:, 0] + 1j * out[:, 1]
+        x = b.reshape(n, -1)
+        split = real and np.iscomplexobj(b)
+        if split:
+            x = np.hstack([x.real, x.imag])
+        y = eliminate(x)
+        if refine:
+            y += eliminate(x - (A @ y + s_col * y))
+        if split:
+            y = y[:, :y.shape[1] // 2] + 1j * y[:, y.shape[1] // 2:]
+        return y.reshape(b.shape)
 
     return solve
 

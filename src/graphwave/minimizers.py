@@ -11,9 +11,8 @@ where omega_hat is the instantaneous multiplier estimate
 sphere-tangential part of the gradient and makes the fixed points of the
 iteration exactly the discrete stationary states, so the stationary
 residual (the convergence metric) can actually reach the tolerance at a
-fixed tau.  The (M/tau + A) factorization is reused across the flow's
-iterations; it is made when the flow first steps, and again after each
-Newton attempt, so that only one factorization is alive at a time.
+fixed tau.  One (M/tau + A) factorization serves all the flow's
+iterations.
 
 The flow is only the globalization.  Each time its residual first drops
 below a new power of ten (from 1e-1 on), bordered Newton steps on the
@@ -240,8 +239,8 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
 
     Returns (u, flow iterations, residual, energy history, worst mass
     drift, accepted Newton steps)."""
-    solve = None   # the flow's factorization, made when the flow steps
     m = d.m
+    solve = factor(d, m / tau)
     res_history: list[float] = []
     energy_history: list[float] = []
     max_mass_drift = 0.0
@@ -270,15 +269,12 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
         if residual < next_polish:
             while next_polish > residual:
                 next_polish /= 10.0
-            solve = None   # keep one factorization alive at a time
             polished = _newton(d, p, c, r, lam0, tol, u)
             if polished is not None:
                 u, steps = polished
                 energy_history += [t.energy for t in steps]
                 max_mass_drift = max([max_mass_drift] + [t.mass_drift for t in steps])
                 return u, it, steps[-1].residual, energy_history, max_mass_drift, len(steps)
-        if solve is None:
-            solve = factor(d, m / tau)
         v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
         u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
     raise ConvergenceError(

@@ -4,8 +4,9 @@ normalized eigenfunction, plus the distance to the second eigenvalue.
 Solves A psi = mu M psi (M = diagonal lumped mass) for the two smallest
 eigenpairs by shift-and-invert power iteration: factor (A - sigma M) once,
 iterate, and occasionally re-factor with sigma moved just below the current
-Rayleigh quotient.  The matrix is near-tridiagonal (tree-structured fill),
-so each factorization is cheap and only two eigenpairs are needed.
+Rayleigh quotient.  Each factorization is mesh.factor's O(n) edge/vertex
+elimination, so a re-factor costs about as much as a few solves, and only
+two eigenpairs are needed.
 """
 from __future__ import annotations
 
@@ -75,7 +76,10 @@ def _shift_invert_smallest(d, sigma, tol, max_iter, deflate=None, start=None):
         rvec = Aw - mu * (m * w)
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
         v = w
-        if res <= tol:
+        # the deflation vectors' own error is a floor in the residual, about
+        # their residual (~tol); past it the residual off their span decides
+        if res <= tol or deflate and (np.linalg.norm(m * project(rvec / m))
+                                      <= 0.1 * tol * np.linalg.norm(m * w)):
             return mu, v, it, res
         # move the shift just below the Rayleigh quotient once the iterate
         # clearly tracks the eigenpair nearest the current shift

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphwave import mesh
+from graphwave import evolution, mesh
 from graphwave.errors import BlowUpError, DomainError
 from graphwave.evolution import (
     evolve,
@@ -47,6 +47,25 @@ def test_linear_overlap_modulus_constant(small_setup):
         state = step(state, d, None)
     after = abs(np.sum(d.m * state.u.values * gs.psi0.values))
     assert after == pytest.approx(base, rel=1e-12)
+
+
+def test_linear_evolve_factors_once(monkeypatch, small_setup):
+    # the linear flow's CN matrix never changes, so one factorization serves
+    # every step; the nonlinear flow needs one per step
+    d, gs = small_setup
+    calls = []
+
+    def counting_factor(d, shift):
+        calls.append(shift)
+        return mesh.factor(d, shift)
+
+    monkeypatch.setattr(evolution, "factor", counting_factor)
+    u0 = GraphFunction(d, gs.psi0.values.astype(complex))
+    evolve(d, None, u0, 0.01, 1.0, sample_every=10)
+    assert len(calls) == 1
+    calls.clear()
+    evolve(d, 5.0, u0, 0.01, 0.1)
+    assert len(calls) == 10
 
 
 def test_standing_wave_modulus_and_phase(small_setup):

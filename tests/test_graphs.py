@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwave.errors import AssumptionError, DomainError, SchemaError
 from graphwave.graphs import (
@@ -13,6 +15,7 @@ from graphwave.graphs import (
     SquareWell,
     StarGraphSpec,
     Vertex,
+    ZeroPotential,
     default_truncation,
     make_star,
     parse_graph,
@@ -110,6 +113,54 @@ def test_roundtrip_with_potentials():
                  SampledPotential((0.0, 1.0, 2.0), (0.1, -0.3, 0.2))),
         ),
     ).validate()
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def potentials(draw):
+    numbers = st.floats(-10.0, 10.0, allow_nan=False)
+    widths = st.floats(0.01, 10.0)
+    kind = draw(st.sampled_from(["zero", "well", "gaussian", "samples"]))
+    if kind == "zero":
+        return ZeroPotential()
+    if kind == "well":
+        return SquareWell(draw(numbers), draw(numbers), draw(widths))
+    if kind == "gaussian":
+        return GaussianBump(draw(numbers), draw(numbers), draw(widths))
+    x = sorted(draw(st.lists(numbers, min_size=1, max_size=5, unique=True)))
+    return SampledPotential(tuple(x), tuple(draw(st.lists(numbers, min_size=len(x),
+                                                          max_size=len(x)))))
+
+
+@st.composite
+def graphs(draw):
+    """A star, a tree or a cycle with random ids, alphas of either sign,
+    potentials on every edge and at least one half-line."""
+    kind = draw(st.sampled_from(["star", "tree", "cycle"]))
+    n_vertices = 1 if kind == "star" else draw(st.integers(2, 4))
+    if kind == "tree":
+        finite = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_vertices)]
+    elif kind == "cycle":
+        finite = [(k, (k + 1) % n_vertices) for k in range(n_vertices)]
+    else:
+        finite = []
+    n_half = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n_vertices + len(finite)
+                        + n_half, max_size=n_vertices + len(finite) + n_half, unique=True))
+    v_ids, e_ids = ids[:n_vertices], ids[n_vertices:]
+    alphas = st.floats(-5.0, 5.0, allow_nan=False)
+    lengths = st.floats(0.1, 50.0)
+    vertices = tuple(Vertex(v, draw(alphas)) for v in v_ids)
+    edges = [Edge(e_ids[k], v_ids[a], v_ids[b], draw(lengths), None, draw(potentials()))
+             for k, (a, b) in enumerate(finite)]
+    edges += [Edge(e_ids[len(finite) + k], v_ids[draw(st.integers(0, n_vertices - 1))], None,
+                   math.inf, draw(lengths), draw(potentials())) for k in range(n_half)]
+    return MetricGraph(vertices, tuple(edges)).validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs())
+def test_roundtrip_random_graphs(g):
     assert parse_graph(serialize_graph(g)) == g
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphwave import mesh
@@ -69,6 +69,15 @@ def test_segment_stiffness_matrix_hand_assembled():
     A = d.A.toarray()[np.ix_(perm, perm)]
     np.testing.assert_array_equal(A, expected)
     np.testing.assert_array_equal(d.A.toarray(), d.K.toarray())
+
+
+def test_build_vertex_limit(monkeypatch):
+    # the solver's Schur complement is dense V x V
+    monkeypatch.setattr(mesh, "MAX_VERTICES", 2)
+    assert build(segment_graph(1.0), 0.25).n_nodes == 5
+    monkeypatch.setattr(mesh, "MAX_VERTICES", 1)
+    with pytest.raises(ConfigurationError, match="2 vertices, above the limit 1"):
+        build(segment_graph(1.0), 0.25)
 
 
 def test_build_rejects_large_step():
@@ -378,3 +387,61 @@ def test_linear_step_conserves_mass(d, seed, dt):
     u0 = GraphFunction(d, rng.standard_normal(d.n_nodes) + 1j * rng.standard_normal(d.n_nodes))
     u1 = step(initial_state(u0, dt, None), d, None).u
     assert abs(mass(u1) - mass(u0)) <= 1e-12 * mass(u0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs())
+def test_build_numbers_each_edge_interior_contiguously(d):
+    # factor() relies on it: the vertices come first, then every edge's
+    # interior nodes as one run, edge after edge, and the runs cover the rest
+    V = len(d.graph.vertices)
+    assert sorted(d.vertex_index.values()) == list(range(V))
+    start = V
+    for eg in d.edge_grids:
+        interior = eg.gidx[1:-1]
+        np.testing.assert_array_equal(interior, np.arange(start, start + interior.size))
+        assert eg.gidx[0] < V and eg.gidx[-1] < V
+        start += interior.size
+    assert start == d.n_nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), n_negative=st.integers(1, 3))
+def test_factor_matches_dense_solve_indefinite(d, seed, n_negative):
+    # the Newton shape: a real shift with a few negative eigenvalues, kept at
+    # least 1e-3 max(m) from singular, and a two-column right-hand side
+    rng = np.random.default_rng(seed)
+    n = d.n_nodes
+    dense = d.A.toarray()
+    s0 = d.m * rng.uniform(-5.0, 5.0, n)
+    scale = np.sqrt(np.outer(d.m, d.m))
+    mu = np.linalg.eigvalsh((dense + np.diag(s0)) / scale)
+    s = s0 - 0.5 * (mu[n_negative - 1] + mu[n_negative]) * d.m
+    eig = np.linalg.eigvalsh(dense + np.diag(s))
+    assume(np.min(np.abs(eig)) >= 1e-3 * np.max(d.m))
+    assert np.sum(eig < 0) == n_negative
+    b = rng.standard_normal((n, 2))
+    x = factor(d, s)(b)
+    ref = np.linalg.solve(dense + np.diag(s), b)
+    assert x.shape == (n, 2) and x.dtype == np.float64
+    for j in range(2):
+        assert rel_err(x[:, j], ref[:, j]) <= 1e-10
+
+
+def test_factor_near_a_dirichlet_eigenvalue_of_an_edge():
+    # a shift at the lowest eigenvalue of edge e1's interior block (to 1e-8)
+    # makes that block nearly singular while A + diag(s) is well conditioned
+    # (condition number ~1.5e3); eliminating through the block alone loses
+    # about 8 digits, which the refinement step must win back
+    g = MetricGraph(
+        vertices=(Vertex("v", 0.5),),
+        edges=(Edge("e1", "v", None, math.inf, 3.0), Edge("e2", "v", None, math.inf, 5.0)),
+    ).validate()
+    d = build(g, 0.1)
+    eg = d.edge_grids[0]
+    n_cells = eg.gidx.size - 1
+    sigma = 2.0 / eg.h**2 * (1.0 - math.cos(math.pi / n_cells)) * (1.0 + 1e-8)
+    s = -sigma * d.m
+    b = np.ones(d.n_nodes)
+    ref = np.linalg.solve(d.A.toarray() + np.diag(s), b)
+    assert rel_err(factor(d, s)(b), ref) <= 1e-10
