@@ -60,7 +60,7 @@ from .minimizers import (
     scaling_energy_curve,
     structure_diagnostics,
 )
-from .spectrum import GroundStatePair, ground_state, spectral_gap_report
+from .spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
 from .starwaves import (
     ClosedFormWave,
     evaluate_wave,

@@ -108,14 +108,15 @@ def _prepare(args):
 def _cmd_spectrum(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     pair = spectrum.ground_state(d, tol=args.tol)
-    report = spectrum.spectral_gap_report(pair)
+    gap, gap_iterations = spectrum.spectral_gap(pair)
+    report = spectrum.spectral_gap_report(pair, gap)
     if args.dump_psi0:
         mesh.save_function_csv(pair.psi0, out / args.dump_psi0)
     return {
         "lambda0": pair.lambda0,
-        "gap": pair.gap,
+        "gap": gap,
         "residual": pair.residual,
-        "iterations": pair.iterations,
+        "iterations": pair.iterations + gap_iterations,
         "isolation_certified": report["isolation_certified"],
         "n_nodes": d.n_nodes,
     }

@@ -1,33 +1,33 @@
 """Bottom of the spectrum of the energy form: lambda0 and the positive
-normalized eigenfunction, plus the distance to the second eigenvalue.
+normalized eigenfunction, and, only when asked, the distance to the
+second eigenvalue.
 
-Solves A psi = mu M psi (M = diagonal lumped mass) for the two smallest
-eigenpairs by shift-and-invert power iteration: factor (A - sigma M) once,
-iterate, and occasionally re-factor with sigma moved just below the current
-Rayleigh quotient.  Each factorization is mesh.factor's O(n) edge/vertex
-elimination, so a re-factor costs about as much as a few solves, and only
-two eigenpairs are needed.
+Solves A psi = mu M psi (M = diagonal lumped mass) by shift-and-invert:
+factor (A - sigma M) with mesh.factor's O(n) edge/vertex elimination, so a
+factorization costs about as much as a few solves.  ground_state runs a
+power iteration that re-factors with sigma moved just below the current
+Rayleigh quotient; spectral_gap runs Lanczos on one fixed shift.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import AssumptionError, ConvergenceError, DomainError
 from .mesh import Discretization, GraphFunction, factor
 
-__all__ = ["GroundStatePair", "ground_state", "spectral_gap_report"]
+__all__ = ["GroundStatePair", "ground_state", "spectral_gap", "spectral_gap_report"]
 
 
 @dataclass
 class GroundStatePair:
     lambda0: float            # -lambda0 = smallest eigenvalue of the form
     psi0: GraphFunction       # mass-normalized, sign-fixed positive
-    gap: float                # second eigenvalue minus the smallest
     iterations: int
     residual: float
-    tol: float
+    tol: float                # residual the solve stopped at (see ground_state)
 
 
 def _rayleigh_bound(d: Discretization) -> float:
@@ -45,41 +45,27 @@ def _rayleigh_bound(d: Discretization) -> float:
     return -(abs(w_min) + alpha_over_m) - 1.0
 
 
-def _shift_invert_smallest(d, sigma, tol, max_iter, deflate=None, start=None):
-    """Power iteration on (A - sigma M)^{-1} M, converging to the eigenvalue
-    nearest sigma (the smallest one when sigma is below the spectrum).
-
-    deflate: list of M-normalized vectors projected out of every iterate.
-    start: initial vector; must not be orthogonal to the wanted mode.
+def _shift_invert_smallest(d, sigma, tol, max_iter):
+    """Power iteration on (A - sigma M)^{-1} M from the constant vector,
+    converging to the smallest eigenvalue when sigma is below the spectrum
+    (the constant vector meets the positive ground state).
     Returns (mu, vector, iterations, residual).
     """
     A, m = d.A, d.m
-    n = d.n_nodes
-    deflate = deflate or []
-
-    def project(w):
-        for z in deflate:
-            w = w - (m * z) @ w * z
-        return w
-
     solve = factor(d, -sigma * m)
-    v = project(np.ones(n) if start is None else start)
+    v = np.ones(d.n_nodes)
     v /= np.sqrt((m * v) @ v)
-    mu = (v @ (A @ v))
     res = np.inf
     refactors = 0
     for it in range(1, max_iter + 1):
-        w = project(solve(m * v))
+        w = solve(m * v)
         w /= np.sqrt((m * w) @ w)
         Aw = A @ w
         mu = (w @ Aw)
         rvec = Aw - mu * (m * w)
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
         v = w
-        # the deflation vectors' own error is a floor in the residual, about
-        # their residual (~tol); past it the residual off their span decides
-        if res <= tol or deflate and (np.linalg.norm(m * project(rvec / m))
-                                      <= 0.1 * tol * np.linalg.norm(m * w)):
+        if res <= tol:
             return mu, v, it, res
         # move the shift just below the Rayleigh quotient once the iterate
         # clearly tracks the eigenpair nearest the current shift
@@ -96,54 +82,75 @@ def _shift_invert_smallest(d, sigma, tol, max_iter, deflate=None, start=None):
 
 
 def ground_state(d: Discretization, tol: float = 1e-10, max_iter: int = 20000) -> GroundStatePair:
-    """Smallest eigenpair of the form, returned as (lambda0, psi0), plus the
-    spectral gap from a deflated second solve.
+    """Smallest eigenpair of the form, returned as (lambda0, psi0).
+
+    tol is an absolute bound on the eigen-residual ||A v - mu M v|| / ||M v||.
+    Round-off puts a floor of about eps * max|diag A| / min m under that
+    residual (eps * 4/h^2 on a uniform grid), so the solve stops at
+    max(tol, 2 eps max|diag A| / min m); pair.tol is the value used.
 
     Raises AssumptionError when the ground energy is not negative (no
     bound state: the model requires lambda0 > 0).
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    mu0, v0, it0, res0 = _shift_invert_smallest(
-        d, _rayleigh_bound(d), tol, max_iter
-    )
-    lambda0 = -mu0
-    if lambda0 <= 0:
+    floor = 2.0 * np.finfo(float).eps * np.max(np.abs(d.A.diagonal())) / np.min(d.m)
+    tol = max(tol, float(floor))
+    mu0, v0, it0, res0 = _shift_invert_smallest(d, _rayleigh_bound(d), tol, max_iter)
+    if mu0 >= 0:
         raise AssumptionError(
             "no negative ground energy: the bottom of the spectrum is "
             f"{mu0:.3e} >= 0, so there is no bound state"
         )
     # deterministic sign: make the largest-magnitude entry positive
     v0 = v0 * np.sign(v0[np.argmax(np.abs(v0))])
-
-    # second eigenvalue: deflate psi0, shift just above mu0 so the nearest
-    # remaining eigenvalue is the second-smallest; the start vector must be
-    # generic (a symmetric start would miss antisymmetric modes entirely)
-    sigma2 = mu0 + 1e-6 * (abs(mu0) + 1.0)
-    mu1, _, it1, _ = _shift_invert_smallest(
-        d, sigma2, max(tol, 1e-10), max_iter, deflate=[v0],
-        start=np.random.default_rng(0).standard_normal(d.n_nodes),
-    )
-    return GroundStatePair(
-        lambda0=float(lambda0),
-        psi0=GraphFunction(d, v0),
-        gap=float(mu1 - mu0),
-        iterations=it0 + it1,
-        residual=float(res0),
-        tol=tol,
-    )
+    return GroundStatePair(lambda0=float(-mu0), psi0=GraphFunction(d, v0),
+                           iterations=it0, residual=float(res0), tol=tol)
 
 
-def spectral_gap_report(pair: GroundStatePair) -> dict:
+def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
+    """Second eigenvalue minus the smallest; returns (gap, solves).
+
+    Lanczos (ARPACK) on the shift-and-invert operator of mesh.factor, with
+    the shift just above -lambda0 so that the two eigenvalues nearest it are
+    the two smallest, and Ritz values converged to sqrt(pair.tol) relative.
+    A power iteration deflated by psi0 is no substitute: when its start
+    barely meets the second eigenvector and the shift moves, it settles on
+    the third eigenvalue.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    d, mu0 = pair.psi0.disc, -pair.lambda0
+    sigma = mu0 + 1e-6 * (abs(mu0) + 1.0)
+    solve, solves = factor(d, -sigma * d.m), []
+
+    def apply(b):
+        solves.append(1)
+        return solve(b)
+
+    try:
+        mu = eigsh(d.A, k=2, M=sp.diags(d.m), sigma=sigma, which="LM",
+                   OPinv=LinearOperator(d.A.shape, matvec=apply, dtype=float),
+                   v0=np.random.default_rng(0).standard_normal(d.n_nodes),
+                   tol=np.sqrt(pair.tol), maxiter=1000, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"spectral gap: {exc}") from None
+    return float(np.max(mu) - mu0), len(solves)
+
+
+def spectral_gap_report(pair: GroundStatePair, gap: float | None = None) -> dict:
     """Isolation diagnostic.  Truncating half-lines turns the continuous
     spectrum into densely spaced discrete points near 0, so isolation means
     a gap comparable to lambda0, not to the solver tolerance; a gap below
-    10*tol cannot be distinguished from a degenerate pair at all."""
-    certified = pair.gap >= 10.0 * pair.tol
+    10*tol cannot be distinguished from a degenerate pair at all.  The gap
+    is computed by spectral_gap unless given."""
+    if gap is None:
+        gap, _ = spectral_gap(pair)
+    certified = gap >= 10.0 * pair.tol
     return {
         "lambda0": pair.lambda0,
-        "gap": pair.gap,
-        "gap_over_lambda0": pair.gap / pair.lambda0,
+        "gap": gap,
+        "gap_over_lambda0": gap / pair.lambda0,
         "tol": pair.tol,
         "isolation_certified": certified,
         "note": (

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .mesh import Discretization, GraphFunction
@@ -121,6 +119,9 @@ def h_integral(x: float, p: float) -> float:
     endpoint singularity is integrable and handled by adaptive quadrature
     with extrapolation; absolute error <= 1e-10.
     """
+    # imported here: scipy.integrate is slow to load and most commands never need it
+    from scipy.integrate import IntegrationWarning, quad
+
     if not 0.0 <= x < 1.0:
         raise DomainError("h integral needs 0 <= x < 1")
     if p < 5:
@@ -162,6 +163,8 @@ def solve_omega_for_mass(
     The bracket must lie in the increasing part of the curve (checked by
     sampling) and straddle c.  Root resolved to relative tolerance 1e-10.
     """
+    from scipy.optimize import brentq  # imported here, as in h_integral
+
     lo, hi = bracket
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     if not thr < lo < hi:

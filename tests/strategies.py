@@ -1,0 +1,53 @@
+"""Hypothesis strategies shared by the property tests: random small graphs
+with potentials that carry a bound state."""
+import math
+
+from hypothesis import strategies as st
+
+from graphwave.graphs import Edge, GaussianBump, MetricGraph, SquareWell, Vertex, ZeroPotential
+from graphwave.mesh import build
+
+
+@st.composite
+def potentials(draw, length):
+    kind = draw(st.sampled_from(["zero", "well", "bump"]))
+    if kind == "zero":
+        return ZeroPotential()
+    depth = draw(st.floats(-0.5, 0.2))
+    start = draw(st.floats(0.0, 0.5 * length))
+    width = draw(st.floats(0.1, 0.5 * length))
+    if kind == "well":
+        return SquareWell(depth, start, width)
+    return GaussianBump(depth, start, width)
+
+
+@st.composite
+def small_graphs(draw):
+    """A star, a tree or a cycle with half-lines truncated at 8-12, a
+    potential on every edge and one strongly attractive vertex, on a grid of
+    at most 300 nodes."""
+    kind = draw(st.sampled_from(["star", "tree", "cycle"]))
+    if kind == "star":
+        n_vertices, finite = 1, []
+    elif kind == "tree":
+        n_vertices = draw(st.integers(2, 3))
+        finite = [(draw(st.integers(0, k - 1)), k) for k in range(1, n_vertices)]
+    else:
+        n_vertices = draw(st.integers(2, 3))
+        finite = [(k, (k + 1) % n_vertices) for k in range(n_vertices)]
+    alphas = [draw(st.floats(0.8, 1.5))] + [draw(st.floats(0.0, 1.0))
+                                            for _ in range(n_vertices - 1)]
+    vertices = tuple(Vertex(f"v{k}", a) for k, a in enumerate(alphas))
+    edges = []
+    for k, (a, b) in enumerate(finite):
+        length = draw(st.floats(1.0, 3.0))
+        edges.append(Edge(f"f{k}", f"v{a}", f"v{b}", length,
+                          potential=draw(potentials(length))))
+    for k in range(draw(st.integers(2 if kind == "star" else 1, 3))):
+        trunc = draw(st.floats(8.0, 12.0))
+        edges.append(Edge(f"h{k}", f"v{draw(st.integers(0, n_vertices - 1))}", None,
+                          math.inf, trunc, potential=draw(potentials(trunc))))
+    g = MetricGraph(vertices, tuple(edges)).validate()
+    d = build(g, sum(e.grid_length for e in g.edges) / 280.0)
+    assert d.n_nodes <= 300
+    return d

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphwave import cli, mesh, minimizers
+import graphwave
+from graphwave import cli, mesh, minimizers, spectrum
 from graphwave.cli import build_parser, dispatch
 from graphwave.graphs import StarGraphSpec, make_star, serialize_graph
 
@@ -353,3 +357,38 @@ def test_minimize_reports_newton_steps(tmp_path, capsys, star_file):
     assert code == 0
     assert payload["newton_steps"] >= 1
     assert payload["gradient_residual"] <= 1e-8
+
+
+def test_only_spectrum_computes_the_gap(tmp_path, capsys, monkeypatch, star_file):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("only the spectrum command needs the spectral gap")
+
+    monkeypatch.setattr(spectrum, "spectral_gap", not_reached)
+    grid = ["--h", "0.25"]
+    runs = [
+        ["minimize", star_file, "--p", "6", "--c", "1.5", "--tau", "1.0", *grid],
+        ["evolve", star_file, "--p", "6", "--dt", "0.01", "--T", "0.1",
+         "--init", tmp_path / "0" / "minimizer.csv", *grid],
+        ["stability", star_file, "--p", "6", "--dt", "0.01", "--T", "0.1", "--delta", "0.01",
+         "--mode", "eigenfunction-bump", "--ref", tmp_path / "0" / "minimizer.csv", *grid],
+        ["validate", star_file, "--p", "5", *grid],
+        ["sweep", star_file, "--p", "6", "--c-grid", "1.0:2.0:2", "--tau", "1.0", *grid],
+    ]
+    for k, argv in enumerate(runs):
+        code, _ = run(capsys, argv + ["--out", tmp_path / str(k)])
+        assert code == 0, argv[0]
+    # the patch is on the path the spectrum command takes
+    with pytest.raises(AssertionError, match="only the spectrum command"):
+        dispatch([str(a) for a in ["spectrum", star_file, *grid, "--out", tmp_path / "s"]])
+
+
+def test_cli_import_does_not_load_quadrature_or_root_finding():
+    # scipy.integrate and scipy.optimize cost start-up time for every command;
+    # only h_integral and solve_omega_for_mass need them
+    code = ("import sys, graphwave.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    src = str(Path(graphwave.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

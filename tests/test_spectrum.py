@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from graphwave import mesh
+from graphwave import mesh, spectrum
 from graphwave.errors import AssumptionError
 from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import GraphFunction, mass, quadratic_form
-from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap_report
+from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
+from strategies import small_graphs
 
 
 def test_star3_ground_state(ground_h01):
@@ -70,7 +73,7 @@ def test_cross_check_against_arpack():
     )
     vals = np.sort(vals)
     assert pair.lambda0 == pytest.approx(-vals[0], abs=1e-9)
-    assert pair.gap == pytest.approx(vals[1] - vals[0], abs=1e-7)
+    assert spectral_gap(pair)[0] == pytest.approx(vals[1] - vals[0], abs=1e-7)
 
 
 def test_gap_scales_with_truncation():
@@ -79,7 +82,7 @@ def test_gap_scales_with_truncation():
     gaps = {}
     for L in (20.0, 40.0):
         pair = ground_state(mesh.build(make_star(StarGraphSpec(3, 1.0, L)), 0.02))
-        gaps[L] = pair.gap - pair.lambda0
+        gaps[L] = spectral_gap(pair)[0] - pair.lambda0
     assert gaps[40.0] < gaps[20.0]
     assert gaps[40.0] == pytest.approx(0.0, abs=4 * (math.pi / 40.0) ** 2)
 
@@ -87,9 +90,42 @@ def test_gap_scales_with_truncation():
 def test_gap_report_flags(ground_h01):
     rep = spectral_gap_report(ground_h01)
     assert rep["isolation_certified"]
-    assert rep["gap_over_lambda0"] == pytest.approx(ground_h01.gap / ground_h01.lambda0)
+    assert rep["gap_over_lambda0"] == pytest.approx(
+        spectral_gap(ground_h01)[0] / ground_h01.lambda0)
     tiny = GroundStatePair(
-        lambda0=1.0 / 9.0, psi0=ground_h01.psi0, gap=5e-10,
+        lambda0=1.0 / 9.0, psi0=ground_h01.psi0,
         iterations=1, residual=1e-11, tol=1e-10,
     )
-    assert not spectral_gap_report(tiny)["isolation_certified"]
+    assert not spectral_gap_report(tiny, gap=5e-10)["isolation_certified"]
+
+
+def test_ground_state_makes_one_eigen_solve(monkeypatch, disc_h02):
+    calls = []
+    solve = spectrum._shift_invert_smallest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_shift_invert_smallest", counted)
+    ground_state(disc_h02)
+    assert len(calls) == 1
+
+
+def test_residual_floor_on_a_fine_grid(star3):
+    # 96k nodes: round-off holds the residual near 1.6e-10, above the
+    # default tol, so the solve stops at the floor 2 eps max|diag A| / min m
+    d = mesh.build(star3, 0.00125)
+    pair = ground_state(d)
+    assert d.n_nodes > 95_000
+    assert pair.tol > 1e-10
+    assert pair.residual <= pair.tol
+    assert abs(pair.lambda0 - 1.0 / 9.0) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=small_graphs())
+def test_spectral_gap_matches_dense_eigh(d):
+    mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 1])
+    pair = ground_state(d)
+    assert spectral_gap(pair)[0] == pytest.approx(mu[1] - mu[0], abs=1e-7)
