@@ -19,9 +19,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 
+# scipy is imported in build and factor: commands without a grid start faster
 from .errors import ConfigurationError, DomainError, SchemaError
 from .graphs import MetricGraph
 
@@ -66,8 +65,8 @@ class Discretization:
         self.vertex_index: dict[str, int] = vertex_index
         self.n_nodes: int = n_nodes
         self.m: np.ndarray = m          # lumped mass weights, all > 0
-        self.A: sp.csr_matrix = A       # full form matrix
-        self.K: sp.csr_matrix = K       # stiffness (gradient) part only
+        self.A = A                      # full form matrix (scipy.sparse CSR)
+        self.K = K                      # stiffness (gradient) part only
         self.target_h: float = target_h
         self.h_max: float = max(eg.h for eg in edge_grids)
         # factor's static pattern: each edge's interior follows the V vertex
@@ -123,6 +122,8 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     """Grid + matrix assembly.  Every edge needs at least 4 cells, i.e.
     target_h <= (shortest edge)/4, and the grid may have at most MAX_NODES
     nodes."""
+    import scipy.sparse as sp
+
     min_len = min(e.grid_length for e in g.edges)
     if not target_h > 0 or target_h > min_len / 4.0 * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -200,7 +201,13 @@ def factor(d: Discretization, shift: np.ndarray):
     complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
     B T^{-1} B^T.  A real factor solves a complex b as real and imaginary
     columns.  Raises DomainError when a pivot of T or S is at or below
-    n eps max|diag|: the matrix is singular to working precision."""
+    n eps max|diag|: the matrix is singular to working precision.
+
+    For a real shift, solve.n_negative() counts the negative eigenvalues of
+    A + diag(shift) by Haynsworth: inertia = inertia(T) + inertia(S), with a
+    Sturm count of T (?gttrf's pivots do not give it) and eigvalsh of S."""
+    from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
+
     V, n = len(d.vertex_index), d.n_nodes
     diag = d._diag + shift
     gttrf, gttrs, getrf, getrs = get_lapack_funcs(
@@ -247,6 +254,11 @@ def factor(d: Discretization, shift: np.ndarray):
             y = y[:, :y.shape[1] // 2] + 1j * y[:, y.shape[1] // 2:]
         return y.reshape(b.shape)
 
+    def n_negative() -> int:
+        in_t = eigvalsh_tridiagonal(diag[V:], d._off, select="v", select_range=(-np.inf, 0.0))
+        return len(in_t) + int(np.sum(np.linalg.eigvalsh(S) < 0.0))
+
+    solve.n_negative = n_negative
     return solve
 
 

@@ -293,9 +293,11 @@ def _newton(d, p, c, r, lam0, tol, u):
     the mass to first order; v is then renormalized to mass c.  A step is
     kept only if it is finite, stays in B(r), lowers the residual and does
     not raise the energy by more than 1e-12 |E|.  Returns (u, the accepted
-    iterates' measurements) once the residual is <= tol, or None: after a
-    rejected step, a singular J, _NEWTON_STEPS steps, or when u has no
-    constant phase to gauge away.  Never raises."""
+    iterates' measurements) once the residual is <= tol and J has exactly
+    one negative eigenvalue there, as at a minimizer on the mass sphere, or
+    None: at a saddle (Morse index above 1), after a rejected step, a
+    singular J, _NEWTON_STEPS steps, or when u has no constant phase to
+    gauge away.  Never raises."""
     m = d.m
     k = int(np.argmax(np.abs(u)))
     phase = u[k] / abs(u[k])
@@ -306,13 +308,15 @@ def _newton(d, p, c, r, lam0, tol, u):
     s = _measure(d, p, c, lam0, v)
     steps = []
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
+        for _ in range(_NEWTON_STEPS + 1):
             mv = m * v
-            shift = s.omega_hat * m - p * m * np.abs(v) ** (p - 1.0)
             try:
-                a, b = factor(d, shift)(np.column_stack([-m * s.rvec, mv])).T
+                solve = factor(d, s.omega_hat * m - p * m * np.abs(v) ** (p - 1.0))
             except DomainError:
                 return None
+            if s.residual <= tol:
+                return (phase * v, steps) if solve.n_negative() == 1 else None
+            a, b = solve(np.column_stack([-m * s.rvec, mv])).T
             domega = (mv @ a + (mv @ v - c) / 2.0) / (mv @ b)
             w = v + a - domega * b
             w *= np.sqrt(c / np.sum(m * w * w))
@@ -322,15 +326,13 @@ def _newton(d, p, c, r, lam0, tol, u):
                 return None
             v, s = w, t
             steps.append(t)
-            if t.residual <= tol:
-                return phase * v, steps
     return None
 
 
-def structure_diagnostics(res: MinimizerResult, interior_slack: float = 0.05) -> dict:
+def structure_diagnostics(res: MinimizerResult) -> dict:
     """Structural checks on a minimizer: constant phase, strict positivity of
-    the gauged profile, strict energy bound E < -lambda0 c / 2, and ball
-    interiority ||phi||_G^2 <= r c (1 + slack).
+    the gauged profile, strict energy bound E < -lambda0 c / 2, and
+    membership of the ball minimize monitors, ||phi||_G^2 <= r.
 
     Reported, never thrown."""
     phi = res.phi.values
@@ -349,7 +351,7 @@ def structure_diagnostics(res: MinimizerResult, interior_slack: float = 0.05) ->
         "positivity_ok": bool(np.min(gauged.real) > 0.0),
         "energy_below_linear_ok": bool(res.energy < linear_level),
         "energy_margin": float(linear_level - res.energy),
-        "ball_interior_ok": bool(res.g_norm_sq <= res.r * res.c * (1.0 + interior_slack)),
+        "ball_interior_ok": bool(res.g_norm_sq <= res.r),
     }
 
 

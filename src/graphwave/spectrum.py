@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import AssumptionError, ConvergenceError, DomainError
 from .mesh import Discretization, GraphFunction, factor
@@ -45,11 +44,16 @@ def _rayleigh_bound(d: Discretization) -> float:
     return -(abs(w_min) + alpha_over_m) - 1.0
 
 
-def _shift_invert_smallest(d, sigma, tol, max_iter):
+def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
     """Power iteration on (A - sigma M)^{-1} M from the constant vector,
     converging to the smallest eigenvalue when sigma is below the spectrum
     (the constant vector meets the positive ground state).
-    Returns (mu, vector, iterations, residual).
+
+    Stops at residual <= tol once the sign of mu is certain: a Rayleigh
+    quotient mu < 0 bounds the smallest eigenvalue from above, while mu >= 0
+    needs the eigenvalue within ||M^{-1/2} r|| of mu to be positive, or the
+    residual at the round-off floor.  Returns (mu, vector, iterations,
+    residual).
     """
     A, m = d.A, d.m
     solve = factor(d, -sigma * m)
@@ -65,7 +69,7 @@ def _shift_invert_smallest(d, sigma, tol, max_iter):
         rvec = Aw - mu * (m * w)
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
         v = w
-        if res <= tol:
+        if res <= tol and (mu < 0 or res <= floor or np.sqrt(np.sum(rvec**2 / m)) < mu):
             return mu, v, it, res
         # move the shift just below the Rayleigh quotient once the iterate
         # clearly tracks the eigenpair nearest the current shift
@@ -89,14 +93,16 @@ def ground_state(d: Discretization, tol: float = 1e-10, max_iter: int = 20000) -
     residual (eps * 4/h^2 on a uniform grid), so the solve stops at
     max(tol, 2 eps max|diag A| / min m); pair.tol is the value used.
 
-    Raises AssumptionError when the ground energy is not negative (no
-    bound state: the model requires lambda0 > 0).
+    Raises DomainError unless 0 < tol < inf, and AssumptionError when the
+    ground energy is not negative (no bound state: the model requires
+    lambda0 > 0); that verdict is drawn only where the residual proves it,
+    at any tol.
     """
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    floor = 2.0 * np.finfo(float).eps * np.max(np.abs(d.A.diagonal())) / np.min(d.m)
-    tol = max(tol, float(floor))
-    mu0, v0, it0, res0 = _shift_invert_smallest(d, _rayleigh_bound(d), tol, max_iter)
+    if not 0 < tol < np.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d.A.diagonal())) / np.min(d.m))
+    tol = max(tol, floor)
+    mu0, v0, it0, res0 = _shift_invert_smallest(d, _rayleigh_bound(d), tol, floor, max_iter)
     if mu0 >= 0:
         raise AssumptionError(
             "no negative ground energy: the bottom of the spectrum is "
@@ -118,6 +124,7 @@ def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
     barely meets the second eigenvector and the shift moves, it settles on
     the third eigenvalue.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     d, mu0 = pair.psi0.disc, -pair.lambda0

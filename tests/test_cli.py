@@ -382,13 +382,41 @@ def test_only_spectrum_computes_the_gap(tmp_path, capsys, monkeypatch, star_file
         dispatch([str(a) for a in ["spectrum", star_file, *grid, "--out", tmp_path / "s"]])
 
 
-def test_cli_import_does_not_load_quadrature_or_root_finding():
-    # scipy.integrate and scipy.optimize cost start-up time for every command;
-    # only h_integral and solve_omega_for_mass need them
-    code = ("import sys, graphwave.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+def python_with_graphwave(code, *args):
+    """Run `python -c code args...` in a fresh interpreter that imports this
+    graphwave; returns the CompletedProcess."""
     src = str(Path(graphwave.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_does_not_load_quadrature_or_root_finding():
+    # scipy costs start-up time for every command: the sparse and linear
+    # algebra modules are imported where a grid is built or factored, and
+    # only solve_omega_for_mass needs scipy.optimize
+    code = ("import sys, graphwave.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules])")
+    out = python_with_graphwave(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["minimize", "--bogus"], 64),
+    (["mass-curve", "--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "0.2:2:5"], 0),
+])
+def test_commands_without_a_grid_load_no_scipy(tmp_path, argv, code):
+    script = ("import sys\n"
+              "from graphwave.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    extra = ["--out", tmp_path] if argv[0] == "mass-curve" else []
+    out = python_with_graphwave(script, *argv, *extra)
+    assert out.returncode == code, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == "[]"

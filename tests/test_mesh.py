@@ -381,6 +381,18 @@ def test_factor_matches_dense_solve(d, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), level=st.floats(-3.0, 1.0))
+def test_factor_counts_negative_eigenvalues(d, seed, level):
+    # Haynsworth: the Sturm count of the edge block plus the negative
+    # eigenvalues of the vertex Schur complement
+    rng = np.random.default_rng(seed)
+    s = d.m * (level + rng.uniform(-0.5, 0.5, d.n_nodes))
+    eig = np.linalg.eigvalsh(d.A.toarray() + np.diag(s))
+    assume(np.min(np.abs(eig)) > 1e-8 * np.max(np.abs(eig)))
+    assert factor(d, s).n_negative() == int(np.sum(eig < 0.0))
+
+
+@settings(max_examples=60, deadline=None)
 @given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 0.1))
 def test_linear_step_conserves_mass(d, seed, dt):
     rng = np.random.default_rng(seed)

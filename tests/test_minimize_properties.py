@@ -7,12 +7,14 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwave import minimizers
-from graphwave.errors import ConvergenceError, GraphWaveError
-from graphwave.mesh import GraphFunction, h1_norm_sq
+from graphwave.errors import BallExitError, ConvergenceError, GraphWaveError
+from graphwave.graphs import Edge, MetricGraph, SquareWell, Vertex, ZeroPotential
+from graphwave.mesh import GraphFunction, build, h1_norm_sq
 from graphwave.minimizers import minimize
 from graphwave.spectrum import ground_state
 from strategies import small_graphs
@@ -61,6 +63,42 @@ def test_newton_keeps_the_flow_outcome(problem):
     assert polished.newton_steps >= 1
     assert abs(polished.omega - flow.omega) <= 1e-6
     assert h1_rel(polished.phi, flow.phi) <= 1e-5
+
+
+def star_with_well(truncations, depth, start):
+    """A 3-star with gamma = 1 and a square well of width 2 on half-line h2,
+    on small_graphs' grid: a case that test_newton_keeps_the_flow_outcome
+    drew."""
+    edges = tuple(
+        Edge(f"h{k}", "v0", None, math.inf, trunc,
+             potential=SquareWell(depth, start, 2.0) if k == 2 else ZeroPotential())
+        for k, trunc in enumerate(truncations))
+    g = MetricGraph((Vertex("v0", 1.0),), edges).validate()
+    return build(g, sum(e.grid_length for e in g.edges) / 280.0)
+
+
+def test_newton_saddle_does_not_hide_a_ball_exit():
+    # Newton from the first flow iterate converges to a stationary point
+    # inside the ball with two negative eigenvalues of J, a saddle on the
+    # mass sphere; the flow leaves the ball
+    d = star_with_well((8.0, 8.0, 8.0), -0.4375, 2.0)
+    ground = ground_state(d)
+    with pytest.raises(BallExitError):
+        minimize(d, 6.0, 0.6 / ground.lambda0, 1.0, tol=1e-10, max_iter=20000, ground=ground)
+
+
+def test_newton_saddle_is_not_returned():
+    # Newton from the first flow iterate would return the saddle
+    # omega = 0.227510, E = -0.213807; the minimizer is the flow's
+    d = star_with_well((8.0, 8.0, 9.0), -0.421875, 2.875)
+    ground = ground_state(d)
+    res = minimize(d, 5.0, 0.375 / ground.lambda0, 1.0, tol=1e-10, max_iter=20000,
+                   ground=ground)
+    assert res.newton_steps >= 1
+    assert res.omega == pytest.approx(0.978610, abs=1e-6)
+    assert res.energy == pytest.approx(-0.320793, abs=1e-6)
+    shift = res.omega * d.m - 5.0 * d.m * np.abs(res.phi.values) ** 4
+    assert minimizers.factor(d, shift).n_negative() == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from graphwave import mesh, spectrum
-from graphwave.errors import AssumptionError
+from graphwave.errors import AssumptionError, DomainError
 from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import GraphFunction, mass, quadratic_form
 from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
@@ -36,6 +36,20 @@ def test_repulsive_vertex_has_no_bound_state():
     ).validate()
     with pytest.raises(AssumptionError, match="no negative ground energy"):
         ground_state(mesh.build(g, 0.02))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+def test_ground_state_tol_must_be_positive_and_finite(disc_h02, tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        ground_state(disc_h02, tol=tol)
+
+
+def test_loose_tol_does_not_invent_a_missing_bound_state():
+    # the first iterate's Rayleigh quotient is positive here (7.978e-3) and
+    # its residual is below 0.5, but it does not prove lambda0 <= 0
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    assert ground_state(d, tol=0.5).lambda0 > 0
+    assert ground_state(d, tol=1e-3).lambda0 == pytest.approx(ground_state(d).lambda0, abs=1e-4)
 
 
 def test_rayleigh_identity_and_principle(disc_h01, ground_h01, rng):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -75,6 +77,26 @@ def test_h_integral_against_incomplete_beta(p):
     for x in (0.0, 0.2, 1.0 / 3.0, 0.8, 0.99):
         oracle = 0.5 * beta_fn(0.5, e + 1.0) * (1.0 - betainc(0.5, e + 1.0, x * x))
         assert abs(h_integral(x, p) - oracle) <= 1e-10
+
+
+def test_h_integral_p5_is_arcsine_complement():
+    # at p = 5 the integrand is (1 - t^2)^{-1/2}
+    for x in np.linspace(0.0, 0.99999, 60):
+        assert abs(h_integral(float(x), 5.0) - (math.pi / 2.0 - math.asin(x))) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [5.0, 5.5, 6.0, 7.0, 9.0, 15.0])
+def test_h_integral_against_adaptive_quadrature(p):
+    # the substitution t = sin(theta) leaves cos(theta)^{(5-p)/(p-1)}, whose
+    # integrable endpoint singularity adaptive quadrature with extrapolation
+    # resolves to about 1e-11
+    beta = (5.0 - p) / (p - 1.0)
+    for x in np.linspace(0.0, 0.99999, 25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            ref, _ = quad(lambda th: math.cos(th) ** beta, math.asin(x), 0.5 * math.pi,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(h_integral(float(x), p) - ref) <= 1e-10
 
 
 def test_h_integral_monotone_and_domain():
