@@ -13,11 +13,16 @@ transform: the discrete mass is conserved to solver accuracy, the scheme is
 second order in dt, and no nonlinear solve is needed.  Splitting methods
 are unavailable here (the vertex coupling rules out edge-wise Fourier
 diagonalization), which is what makes the graph-wide linear solve natural.
+With L = i M/dt - A/2 + M gam/2 the right-hand side is (2i M/dt - L) u^n,
+so a step computes u^{n+1} = L^{-1} (2i M/dt) u^n - u^n: one solve and no
+product with A.
 
 Both ``evolve`` and ``stability_experiment`` run the one time loop,
 ``_trajectory``: it checks the time grid, seeds the relaxation field, steps
 under the overflow guard and yields the sampled states; each caller only
-applies its own observables to those samples.
+applies its own observables to those samples.  A trajectory keeps one
+workspace: the factor's storage, refactored in place at every step, and
+the arrays of the states it has not handed out, which later steps reuse.
 """
 from __future__ import annotations
 
@@ -29,8 +34,8 @@ import numpy as np
 from .errors import BlowUpError, DomainError
 from .mesh import (
     Discretization,
+    Elimination,
     GraphFunction,
-    factor,
     h1_inner,
     h1_norm_sq,
     mass,
@@ -65,21 +70,32 @@ class EvolutionState:
             raise DomainError("dt must be nonzero")
 
 
-def _nonlinearity(u_vals: np.ndarray, p: float | None) -> np.ndarray:
-    if p is None:
-        return np.zeros(u_vals.shape)
-    return np.abs(u_vals) ** (p - 1.0)
-
-
 def initial_state(u0: GraphFunction, dt: float, p: float | None) -> EvolutionState:
     """Seed the relaxation field with |u0|^{p-1}, so the first step
     degenerates to a midpoint linearization."""
     return EvolutionState(
         t=0.0,
         u=u0.copy(),
-        gamma_relax=_nonlinearity(u0.values, p),
+        gamma_relax=np.zeros(u0.values.shape) if p is None else np.abs(u0.values) ** (p - 1.0),
         dt=dt,
     )
+
+
+class _Workspace:
+    """One trajectory's storage: the CN factor, refactored in place at every
+    step, the step's buffers, and spare arrays for the next state, taken
+    from states nobody else holds."""
+
+    def __init__(self, d: Discretization, dt: float, p: float | None):
+        self.elim = Elimination(d, np.complex128)
+        self.neg_m, self.scale = -d.m, -4j * d.m / dt
+        # the factored shift -m (gam + 2i/dt) keeps its imaginary part;
+        # without the nonlinearity (gam = 0) it never changes: factor it once
+        self.shift = -2j * d.m / dt
+        if p is None:
+            self.elim.refactor(self.shift)
+        self.abs = np.empty(d.n_nodes)
+        self.spare: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 def step(
@@ -87,30 +103,38 @@ def step(
     d: Discretization,
     p: float | None,
     sup_guard: float | None = None,
-    _solve=None,
+    _work: _Workspace | None = None,
 ) -> EvolutionState:
     """One relaxation Crank-Nicolson step; p=None integrates the linear flow
-    (_trajectory passes its one factor of that flow's matrix as _solve)."""
-    u = state.u.values
-    dt = state.dt
-    gam = 2.0 * _nonlinearity(u, p) - state.gamma_relax
-    diag = 1j * d.m / dt + 0.5 * d.m * gam
-    rhs = (diag - d.m * gam) * u + 0.5 * (d.A @ u)
-    # (diag - A/2) u = rhs, scaled by -2 (exact) into the A + diag(s) form
-    u_next = (_solve or factor(d, -2.0 * diag))(-2.0 * rhs)
-    if not np.all(np.isfinite(u_next)):
-        raise BlowUpError(f"non-finite state at t={state.t + dt}", t=state.t + dt)
-    if sup_guard is not None and float(np.max(np.abs(u_next))) > sup_guard:
+    (_trajectory passes its one workspace as _work)."""
+    u, dt = state.u.values, state.dt
+    work = _Workspace(d, dt, p) if _work is None else _work
+    u_next, gam = work.spare.pop() if work.spare else (np.empty(u.size, np.complex128),
+                                                       np.empty(u.size))
+    if p is None:
+        gam.fill(0.0)
+    else:
+        np.abs(u, out=gam)
+        gam **= p - 1.0
+        gam *= 2.0
+        gam -= state.gamma_relax
+        np.multiply(work.neg_m, gam, out=work.shift.real)
+        work.elim.refactor(work.shift)
+    # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
+    # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the factor is of -2L
+    np.multiply(work.scale, u, out=u_next)
+    work.elim.solve_in_place(u_next[:, None])
+    u_next -= u
+    t = state.t + dt
+    # one pass decides both checks (a finite state has a finite sup unless
+    # |u| itself overflows)
+    sup = float(np.abs(u_next, out=work.abs).max())
+    if not math.isfinite(sup) and not np.all(np.isfinite(u_next)):
+        raise BlowUpError(f"non-finite state at t={t}", t=t)
+    if sup_guard is not None and sup > sup_guard:
         raise BlowUpError(
-            f"sup norm exceeded the overflow guard at t={state.t + dt}: blow-up suspected",
-            t=state.t + dt,
-        )
-    return EvolutionState(
-        t=state.t + dt,
-        u=GraphFunction(d, u_next),
-        gamma_relax=gam,
-        dt=dt,
-    )
+            f"sup norm exceeded the overflow guard at t={t}: blow-up suspected", t=t)
+    return EvolutionState(t=t, u=GraphFunction(d, u_next), gamma_relax=gam, dt=dt)
 
 
 @dataclass
@@ -141,12 +165,16 @@ def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float
         raise DomainError("sample_every must be a positive integer")
     state = initial_state(u0, dt, p)
     guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
-    # without the nonlinearity the CN matrix never changes: factor it once
-    solve = factor(d, -2.0 * (1j * d.m / dt)) if p is None else None
+    work = _Workspace(d, dt, p)
     yield state
+    handed_out = True
     for k in range(1, n_steps + 1):
-        state = step(state, d, p, sup_guard=guard, _solve=solve)
-        if k % sample_every == 0 or k == n_steps:
+        last, state = state, step(state, d, p, sup_guard=guard, _work=work)
+        # a yielded state belongs to the caller and is never written again
+        if not handed_out:
+            work.spare.append((last.u.values, last.gamma_relax))
+        handed_out = k % sample_every == 0 or k == n_steps
+        if handed_out:
             yield state
 
 

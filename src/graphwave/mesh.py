@@ -26,6 +26,7 @@ from .graphs import MetricGraph
 
 __all__ = [
     "Discretization",
+    "Elimination",
     "GraphFunction",
     "build",
     "factor",
@@ -192,73 +193,131 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     return Discretization(g, tuple(grids), vertex_index, n_nodes, m, A, K, target_h)
 
 
-def factor(d: Discretization, shift: np.ndarray):
-    """Factor A + diag(shift) once; return solve(b), b of shape (n,) or (n, k).
+class Elimination:
+    """Storage for the O(n) edge/vertex elimination of A + diag(shift),
+    kept across refactors: the off-diagonals cast once to the factor's
+    dtype, the factor of the interior block T (see Discretization), Z with
+    as many columns as the graph needs, the Schur complement's LU and the
+    solve's scratch.  ``factor`` factors a fresh one once; the CN time loop
+    refactors one per step and solves in place.
 
-    The one solver of the spectrum, the flow, Newton and the CN step: an
-    O(n) edge/vertex elimination.  LAPACK ?gttrf factors the interior block
-    T (see Discretization) with partial pivoting, safe for indefinite and
+    LAPACK ?gttrf factors T with partial pivoting, safe for indefinite and
     complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
-    B T^{-1} B^T.  A real factor solves a complex b as real and imaginary
-    columns.  Raises DomainError when a pivot of T or S is at or below
-    n eps max|diag|: the matrix is singular to working precision.
+    B T^{-1} B^T.  refactor raises DomainError when a pivot of T or S is at
+    or below n eps max|diag|: the matrix is singular to working precision."""
 
-    For a real shift, solve.n_negative() counts the negative eigenvalues of
-    A + diag(shift) by Haynsworth: inertia = inertia(T) + inertia(S), with a
-    Sturm count of T (?gttrf's pivots do not give it) and eigvalsh of S."""
-    from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
+    def __init__(self, d: Discretization, dtype):
+        from scipy.linalg import get_lapack_funcs
 
-    V, n = len(d.vertex_index), d.n_nodes
-    diag = d._diag + shift
-    gttrf, gttrs, getrf, getrs = get_lapack_funcs(
-        ("gttrf", "gttrs", "getrf", "getrs"), dtype=diag.dtype)
-    dl, dt, du, du2, ipiv, _ = gttrf(d._off, diag[V:], d._off)
-    # Z = T^{-1} B^T, two coefficients per interior node: column j answers
-    # each edge's coupling at its j-th end (none at a half-line's far end)
-    ends, pos, coef = d._ends, d._pos, d._coef
-    Z = np.zeros((n - V, 2), diag.dtype, order="F")
-    Z[pos, [0, 1]] = coef
-    cols = 2 if coef[:, 1].any() else 1
-    Z[:, :cols] = gttrs(dl, dt, du, du2, ipiv, Z[:, :cols])[0]
-    S = d._A_VV + np.diag(shift[:V])
-    np.add.at(S, (ends[:, :, None], ends[:, None, :]), -coef[:, :, None] * Z[pos])
-    lu, piv, _ = getrf(S)
-    worst = min(np.min(np.abs(dt)), np.min(np.abs(np.diag(lu))))
-    if not worst > n * np.finfo(float).eps * np.max(np.abs(diag)):
-        raise DomainError(f"A + diag(shift) is singular: pivot {worst:.3g} <= n eps max|diag|")
-    # x_I = y - Z x_V cancels digits when T is nearly singular, as a shift
-    # near a Dirichlet eigenvalue of an edge makes it; |Z| >> 1 shows the
-    # loss, and one step of iterative refinement wins the digits back
-    parts = Z.ravel(order="K").view(float)
-    refine = max(parts.max(), -parts.min()) > 10.0
-    A, s_col, node_ends, real = d.A, np.asarray(shift)[:, None], d._node_ends, diag.dtype == float
+        self.d, self.dtype = d, np.dtype(dtype)
+        self.V, n = len(d.vertex_index), d.n_nodes
+        self._gttrf, self._gttrs, self._getrf, self._getrs = get_lapack_funcs(
+            ("gttrf", "gttrs", "getrf", "getrs"), dtype=self.dtype)
+        self._off = d._off.astype(self.dtype, copy=False)   # read-only here
+        self._dl, self._du = np.empty_like(self._off), np.empty_like(self._off)
+        self._diag, self._abs = np.empty(n, self.dtype), np.empty(n)
+        # Z = T^{-1} B^T, two coefficients per interior node: column j answers
+        # each edge's coupling at its j-th end; a graph of half-lines has no
+        # second column (a half-line's far end couples to nothing)
+        self._cols = 2 if d._coef[:, 1].any() else 1
+        self._Z = np.zeros((n - self.V, self._cols), self.dtype, order="F")
+        self._scratch = np.empty((n - self.V, 1), self.dtype)
 
-    def eliminate(x):
-        y = gttrs(dl, dt, du, du2, ipiv, x[V:])[0]
+    def refactor(self, shift: np.ndarray) -> None:
+        """Factor A + diag(shift) into this storage, replacing the last factor."""
+        d, V, cols = self.d, self.V, self._cols
+        ends, pos, coef = d._ends, d._pos, d._coef
+        diag = np.add(d._diag, shift, out=self._diag)
+        big = np.abs(diag, out=self._abs).max()
+        np.copyto(self._dl, self._off)
+        np.copyto(self._du, self._off)
+        dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
+                                               overwrite_d=1, overwrite_du=1)
+        Z = self._Z
+        Z.fill(0.0)
+        Z[pos[:, :cols], np.arange(cols)] = coef[:, :cols]
+        Z = self._Z = self._gttrs(dl, dt, du, du2, ipiv, Z, overwrite_b=1)[0]
+        S = d._A_VV + np.diag(shift[:V])
+        np.add.at(S, (ends[:, :, None], ends[:, None, :cols]), -coef[:, :, None] * Z[pos])
+        lu, piv, _ = self._getrf(S)
+        worst = min(np.abs(dt, out=self._abs[V:]).min(), np.abs(lu.diagonal()).min())
+        if not worst > d.n_nodes * np.finfo(float).eps * big:
+            raise DomainError(f"A + diag(shift) is singular: pivot {worst:.3g} <= n eps max|diag|")
+        # x_I = y - Z x_V cancels digits when T is nearly singular, as a shift
+        # near a Dirichlet eigenvalue of an edge makes it; |Z| >> 1 shows the
+        # loss, and one step of iterative refinement wins the digits back
+        parts = Z.ravel(order="K").view(float)
+        self.refine = bool(max(parts.max(), -parts.min()) > 10.0)
+        self._T, self._S, self._lu, self._piv = (dl, dt, du, du2, ipiv), S, lu, piv
+        self.shift = shift
+
+    def _eliminate(self, x: np.ndarray) -> np.ndarray:
+        V, d = self.V, self.d
+        y = self._gttrs(*self._T, x[V:], overwrite_b=1)[0]
         r = x[:V].copy()
-        np.add.at(r, ends, -coef[:, :, None] * y[pos])
-        x_v = getrs(lu, piv, r)[0]
-        for j in range(cols):
-            y -= Z[:, j:j + 1] * x_v[node_ends[:, j]]
-        return np.vstack([x_v, y])
+        np.add.at(r, d._ends, -d._coef[:, :, None] * y[d._pos])
+        x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
+        if self._scratch.shape != y.shape:
+            self._scratch = np.empty(y.shape, self.dtype)
+        g = self._scratch
+        for j in range(self._cols):
+            np.take(x_v, d._node_ends[:, j], axis=0, out=g, mode="clip")
+            y -= np.multiply(self._Z[:, j:j + 1], g, out=g)
+        if not np.may_share_memory(y, x):   # overwrite_b is a request, not a promise
+            x[V:] = y
+        return x
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = b.reshape(n, -1)
-        split = real and np.iscomplexobj(b)
+    def solve_in_place(self, x: np.ndarray) -> None:
+        """Overwrite x, of shape (n, k) and the factor's dtype, with the
+        solution of (A + diag(shift)) y = x."""
+        b = x.copy() if self.refine else None
+        self._eliminate(x)
+        if self.refine:
+            x += self._eliminate(b - (self.d.A @ x + self.shift[:, None] * x))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for b of shape (n,) or (n, k), as a new array; a real
+        factor solves a complex b as real and imaginary columns."""
+        x = b.reshape(self.d.n_nodes, -1)
+        split = self.dtype == float and np.iscomplexobj(b)
         if split:
             x = np.hstack([x.real, x.imag])
-        y = eliminate(x)
-        if refine:
-            y += eliminate(x - (A @ y + s_col * y))
+        # column-major like LAPACK's own output, so a column is contiguous
+        y = np.array(x, self.dtype, order="F")
+        self.solve_in_place(y)
         if split:
             y = y[:, :y.shape[1] // 2] + 1j * y[:, y.shape[1] // 2:]
         return y.reshape(b.shape)
 
-    def n_negative() -> int:
-        in_t = eigvalsh_tridiagonal(diag[V:], d._off, select="v", select_range=(-np.inf, 0.0))
-        return len(in_t) + int(np.sum(np.linalg.eigvalsh(S) < 0.0))
+    def n_negative(self) -> int:
+        """For a real shift, the number of negative eigenvalues of
+        A + diag(shift), by Haynsworth: inertia = inertia(T) + inertia(S),
+        with a Sturm count of T (?gttrf's pivots do not give it) and eigvalsh
+        of S."""
+        from scipy.linalg import eigvalsh_tridiagonal
 
-    solve.n_negative = n_negative
+        V, d = self.V, self.d
+        in_t = eigvalsh_tridiagonal(d._diag[V:] + self.shift[V:], d._off, select="v",
+                                    select_range=(-np.inf, 0.0))
+        return len(in_t) + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
+
+
+def factor(d: Discretization, shift: np.ndarray):
+    """Factor A + diag(shift) once; return solve(b), b of shape (n,) or (n, k).
+
+    The one solver of the spectrum, the flow, Newton and the CN step: a
+    fresh Elimination factored once, which the returned function keeps
+    alive for as long as it lives.  Raises DomainError when the matrix is
+    singular to working precision.  For a real shift, solve.n_negative()
+    counts the negative eigenvalues of A + diag(shift)."""
+    shift = np.asarray(shift)
+    work = Elimination(d, np.result_type(d._diag, shift))
+    work.refactor(shift)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return work.solve(b)
+
+    solve.n_negative = work.n_negative
     return solve
 
 

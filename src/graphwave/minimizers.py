@@ -18,8 +18,9 @@ The flow is only the globalization.  Each time its residual first drops
 below a new power of ten (from 1e-1 on), bordered Newton steps on the
 stationary equation try to finish the solve in a few factorizations of
 J = A + diag(omega m - p m |u|^{p-1}).  A Newton attempt either reaches the
-tolerance through steps that each stay in the ball, lower the residual and
-do not raise the energy, or it is discarded and the flow goes on.
+tolerance through steps that each stay in the ball, lower the residual
+(all but the first) and do not raise the energy, or it is discarded and
+the flow goes on.
 
 The ball is monitored, never projected: leaving B(r) is evidence that the
 requested mass is outside the validated window and is surfaced as a typed
@@ -291,8 +292,9 @@ def _newton(d, p, c, r, lam0, tol, u):
     Each step factors J = A + diag(omega_hat m - p m |v|^{p-1}), solves
     J a = -F and J b = m v, and moves v by a - domega b, with domega fixing
     the mass to first order; v is then renormalized to mass c.  A step is
-    kept only if it is finite, stays in B(r), lowers the residual and does
-    not raise the energy by more than 1e-12 |E|.  Returns (u, the accepted
+    kept only if it is finite, stays in B(r), lowers the residual (the
+    first step of the attempt need not) and does not raise the energy by
+    more than 1e-12 |E|.  Returns (u, the accepted
     iterates' measurements) once the residual is <= tol and J has exactly
     one negative eigenvalue there, as at a minimizer on the mass sphere, or
     None: at a saddle (Morse index above 1), after a rejected step, a
@@ -321,7 +323,10 @@ def _newton(d, p, c, r, lam0, tol, u):
             w = v + a - domega * b
             w *= np.sqrt(c / np.sum(m * w * w))
             t = _measure(d, p, c, lam0, w)
-            if not (math.isfinite(t.residual) and t.g_sq <= r and t.residual < s.residual
+            # the first step may raise the residual: from a loose flow iterate
+            # it can lower the energy a long way and still land near the state
+            if not (math.isfinite(t.residual) and t.g_sq <= r
+                    and (t.residual < s.residual or not steps)
                     and t.energy <= s.energy + 1e-12 * abs(s.energy)):
                 return None
             v, s = w, t

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphwave import evolution, mesh
 from graphwave.errors import BlowUpError, DomainError
 from graphwave.evolution import (
+    EvolutionState,
     evolve,
     initial_state,
     orbit_distance,
@@ -17,6 +20,7 @@ from graphwave.mesh import GraphFunction, h1_norm_sq
 from graphwave.minimizers import minimize
 from graphwave.spectrum import ground_state
 from graphwave.starwaves import ClosedFormWave, evaluate_wave
+from strategies import small_graphs
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +55,61 @@ def test_linear_overlap_modulus_constant(small_setup):
 
 def test_linear_evolve_factors_once(monkeypatch, small_setup):
     # the linear flow's CN matrix never changes, so one factorization serves
-    # every step; the nonlinear flow needs one per step
+    # every step; the nonlinear flow needs one per step (the trajectory
+    # refactors its one workspace)
     d, gs = small_setup
     calls = []
+    refactor = mesh.Elimination.refactor
 
-    def counting_factor(d, shift):
+    def counting_refactor(self, shift):
         calls.append(shift)
-        return mesh.factor(d, shift)
+        return refactor(self, shift)
 
-    monkeypatch.setattr(evolution, "factor", counting_factor)
+    monkeypatch.setattr(mesh.Elimination, "refactor", counting_refactor)
     u0 = GraphFunction(d, gs.psi0.values.astype(complex))
     evolve(d, None, u0, 0.01, 1.0, sample_every=10)
     assert len(calls) == 1
     calls.clear()
     evolve(d, 5.0, u0, 0.01, 0.1)
     assert len(calls) == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), p=st.sampled_from([5.0, 6.0, 7.0]), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-3, 0.1))
+def test_step_solves_the_crank_nicolson_equation(d, p, seed, dt):
+    # step's Cayley form against a dense solve of the scheme as written:
+    # (i M/dt - A/2 + M gam/2) u+ = (i M/dt + A/2 - M gam/2) u
+    rng = np.random.default_rng(seed)
+    n = d.n_nodes
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    gam_prev = np.abs(u) ** (p - 1.0) * rng.uniform(0.5, 1.5, n)
+    state = EvolutionState(t=0.5, u=GraphFunction(d, u), gamma_relax=gam_prev, dt=dt)
+    out = step(state, d, p)
+    gam = 2.0 * np.abs(u) ** (p - 1.0) - gam_prev
+    half = 0.5 * d.A.toarray()
+    rhs = (1j * d.m / dt - 0.5 * d.m * gam) * u + half @ u
+    ref = np.linalg.solve(np.diag(1j * d.m / dt + 0.5 * d.m * gam) - half, rhs)
+    assert np.linalg.norm(out.u.values - ref) <= 1e-10 * np.linalg.norm(ref)
+    np.testing.assert_array_equal(out.gamma_relax, gam)
+    assert out.t == 0.5 + dt
+    np.testing.assert_array_equal(state.u.values, u)
+
+
+@pytest.mark.parametrize("p, sample_every", [(5.0, 1), (5.0, 3), (None, 4)])
+def test_yielded_states_are_never_written_again(small_setup, p, sample_every):
+    # the time loop recycles the arrays of the states it keeps to itself;
+    # a state it has handed out must keep its values
+    d, _ = small_setup
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
+    kept = []
+    for state in evolution._trajectory(d, p, u0, 0.01, 20, sample_every):
+        kept.append((state, state.u.values.copy(), state.gamma_relax.copy()))
+    assert len(kept) == 1 + 20 // sample_every + (20 % sample_every > 0)
+    for state, u, gam in kept:
+        np.testing.assert_array_equal(state.u.values, u)
+        np.testing.assert_array_equal(state.gamma_relax, gam)
+    assert len({id(state.u.values) for state, _, _ in kept}) == len(kept)
 
 
 def test_standing_wave_modulus_and_phase(small_setup):
@@ -136,8 +180,9 @@ def test_orbit_distance_identities(small_setup):
     phi = evaluate_wave(ClosedFormWave(3, 1.0, 6.0, 0.3, 0), d)
     rotated = GraphFunction(d, np.exp(1j * math.pi / 4) * phi.values)
     dist, theta = orbit_distance(rotated, phi)
-    # the distance formula cancels the two norms, so the floor is sqrt(eps)
-    assert dist <= 1e-7 * math.sqrt(h1_norm_sq(phi))
+    # the norm of the difference itself is at round-off, where the expanded
+    # sqrt(||u||^2 + ||phi||^2 - 2|<u, phi>|) would stall near sqrt(eps)
+    assert dist <= 1e-12 * math.sqrt(h1_norm_sq(phi))
     assert theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     delta = 1e-4

@@ -270,3 +270,17 @@ def test_newton_keeps_the_ball_exit(disc_h02, ground_h02):
     c = mass_curve(3, 1.0, 6.0, 0.8 * omega_hi)
     with pytest.raises(BallExitError):
         minimize(disc_h02, 6.0, c, 1.0, tau=1.0, ground=ground_h02)
+
+
+def test_newton_first_step_may_raise_the_residual(disc_h02, ground_h02):
+    # near the top of the p = 6 window the first Newton step from the flow's
+    # residual 9.3e-2 lowers the energy from -0.195 to -0.226 but raises the
+    # residual to 9.5e-2; accepting it finishes the solve, where the tau = h
+    # flow would run about 475 more iterations to the next attempt
+    c = mass_curve(3, 1.0, 6.0, 0.488333)
+    res = minimize(disc_h02, 6.0, c, 1.0, ground=ground_h02)
+    assert res.iterations <= 5
+    assert res.newton_steps >= 1
+    assert res.gradient_residual <= 1e-8
+    assert res.omega == pytest.approx(0.48888178, abs=1e-7)
+    assert all(v for k, v in res.diagnostics.items() if k.endswith("_ok"))
