@@ -34,6 +34,8 @@ SCHEMA_VERSION = 1
 _NOT_PARAMETERS = ("out", "seed", "command", "func")
 # most worker processes `sweep --jobs` may start
 MAX_JOBS = 64
+# most points a `mass-curve` or `sweep` range may ask for
+MAX_POINTS = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,13 +153,12 @@ def _cmd_closed_form(args, out, _) -> dict:
 
 
 def _cmd_mass_curve(args, out, _) -> dict:
-    lo, hi, n = args.omega_range
-    omegas = np.geomspace(lo, hi, int(n))
+    omegas = _geometric_grid(args.omega_range, "--omega-range")
     rows = [(w, starwaves.mass_curve(args.N, args.gamma, args.p, float(w))) for w in omegas]
     _write_csv(out / "mass_curve.csv", ["omega", "mass"], rows)
     window = starwaves.monotone_window(args.N, args.gamma, args.p)
     return {
-        "n_points": int(n),
+        "n_points": len(omegas),
         "monotone_window": {"threshold": window[0], "omega_hi": window[1]},
     }
 
@@ -240,7 +241,7 @@ def _cmd_validate(args, out, g) -> dict:
         def residual(dd):
             u = starwaves.evaluate_wave(wave, dd)
             v = u.values.real
-            rr = dd.A @ v + omega * dd.m * v - dd.m * np.abs(v) ** (args.p - 1) * v
+            rr = dd.apply(v) + omega * dd.m * v - dd.m * np.abs(v) ** (args.p - 1) * v
             return float(np.max(np.abs(rr)) / np.max(np.abs(v)))
 
         r1 = residual(d)
@@ -290,15 +291,14 @@ def _sweep_point(task):
 
 
 def _cmd_sweep(args, out, g) -> dict:
-    lo, hi, n = args.c_grid
     if not 1 <= args.jobs <= MAX_JOBS:
         raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
+    cs = _geometric_grid(args.c_grid, "--c-grid")
     # an argument error is common to every point: refuse it before any solve
-    minimizers.check_arguments(args.p, lo, args.tau, args.tol)
+    minimizers.check_arguments(args.p, args.c_grid[0], args.tau, args.tol)
     # one grid and one ground state, shared by every point (pickled to workers)
     d = mesh.build(g, args.h)
     ground = spectrum.ground_state(d)
-    cs = np.geomspace(lo, hi, int(n))
     tasks = [
         (d, ground, args.p, float(c), args.r, args.tau, args.tol, args.max_iter)
         for c in cs
@@ -323,6 +323,13 @@ def _cmd_sweep(args, out, g) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _geometric_grid(triplet, option: str) -> np.ndarray:
+    lo, hi, n = triplet   # the count is checked before anything is allocated
+    if n > MAX_POINTS:
+        raise ConfigurationError(f"{option} asks for {n} points, above the limit {MAX_POINTS}")
+    return np.geomspace(lo, hi, n)
+
 
 def _range_triplet(text: str):
     parts = text.split(":")

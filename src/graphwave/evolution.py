@@ -94,7 +94,9 @@ class _Workspace:
         self.shift = -2j * d.m / dt
         if p is None:
             self.elim.refactor(self.shift)
-        self.abs = np.empty(d.n_nodes)
+        # |u| of the last state step returned (its sup pass writes it), which
+        # the next step from that state reuses for |u|^{p-1}
+        self.abs, self.abs_of = np.empty(d.n_nodes), None
         self.spare: list[tuple[np.ndarray, np.ndarray]] = []
 
 
@@ -114,7 +116,10 @@ def step(
     if p is None:
         gam.fill(0.0)
     else:
-        np.abs(u, out=gam)
+        if work.abs_of is u:
+            np.copyto(gam, work.abs)
+        else:
+            np.abs(u, out=gam)
         gam **= p - 1.0
         gam *= 2.0
         gam -= state.gamma_relax
@@ -129,6 +134,7 @@ def step(
     # one pass decides both checks (a finite state has a finite sup unless
     # |u| itself overflows)
     sup = float(np.abs(u_next, out=work.abs).max())
+    work.abs_of = u_next
     if not math.isfinite(sup) and not np.all(np.isfinite(u_next)):
         raise BlowUpError(f"non-finite state at t={t}", t=t)
     if sup_guard is not None and sup > sup_guard:
@@ -155,6 +161,12 @@ def _n_steps(t_final: float, dt: float) -> int:
             f"t_final={t_final!r} is not a positive whole number of steps dt={dt!r}"
         )
     return n
+
+
+def _check_exponent(p: float | None, linear_ok: bool) -> None:
+    """Refuse p unless finite and above 1 (None, the linear flow, where linear_ok)."""
+    if not (linear_ok if p is None else 1.0 < p < math.inf):
+        raise DomainError(f"nonlinearity exponent p must be finite and above 1, got p={p!r}")
 
 
 def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float,
@@ -188,7 +200,9 @@ def evolve(
 ) -> tuple[GraphFunction, EvolutionTrace]:
     """Integrate to t_final, sampling (t, mass, energy, sup) along the way.
 
-    t_final must be a whole number of steps dt (DomainError otherwise)."""
+    t_final must be a whole number of steps dt, and p finite and above 1 or
+    None (DomainError otherwise)."""
+    _check_exponent(p, linear_ok=True)
     trace = EvolutionTrace([], [], [], [])
     for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
         trace.times.append(state.t)
@@ -241,8 +255,9 @@ def stability_experiment(
     "multiplicative-noise" multiplies by 1 + delta * (seeded complex noise).
     The perturbed state is rescaled back to the reference mass, so the
     comparison stays on the same sphere.  As in ``evolve``, t_final must be
-    a whole number of steps dt.
+    a whole number of steps dt; p must be finite and above 1.
     """
+    _check_exponent(p, linear_ok=False)
     if not delta >= 0:
         raise DomainError("perturbation size must be nonnegative")
     c = mass(phi_ref)

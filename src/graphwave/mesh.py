@@ -1,26 +1,31 @@
-"""Glued per-edge grids, grid functions, norms and the energy form matrix.
+"""Glued per-edge grids, grid functions, norms and the energy form.
 
 Each edge gets a uniform grid whose step divides the (truncated) edge
 length exactly.  Vertex nodes are shared between incident edges, so a grid
 function is automatically continuous at vertices; truncation endpoints of
 half-lines are eliminated (homogeneous Dirichlet).
 
-The assembled matrix A realizes the energy form
+The form matrix A realizes the energy form
 
     form[u] = sum_e int |u'|^2 + int W |u|^2  -  sum_v alpha_v |u(v)|^2
 
 with piecewise-linear element gradients and lumped (trapezoid) mass, so
 ``u.conj() @ A @ u`` approximates the form to O(h^2) and the mass matrix is
-the diagonal of the lumped weights ``m``.
+the diagonal of the lumped weights ``m``.  A is held as arrays, which
+``Discretization.apply`` multiplies by and ``factor`` solves with.
 """
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-# scipy is imported in build and factor: commands without a grid start faster
 from .errors import ConfigurationError, DomainError, SchemaError
 from .graphs import MetricGraph
 
@@ -58,29 +63,82 @@ class EdgeGrid:
 
 
 class Discretization:
-    """Immutable after build(); all operations on it are read-only."""
+    """Immutable after build(); all operations on it are read-only.
 
-    def __init__(self, graph, edge_grids, vertex_index, n_nodes, m, A, K, target_h):
+    A is held as arrays: its diagonal ``_diag`` (``_diag_k``: the stiffness
+    part's), the off-diagonal ``_off`` of the tridiagonal block T of the
+    edge interiors (numbered edge by edge after the V vertices; -1/h inside
+    an edge, 0 between edges), and the coupling ``_coef[k, j]`` (-1/h, 0 at
+    a half-line's far end) of edge k's end j, vertex ``_ends[k, j]``, to its
+    interior node ``V + _pos[k, j]``.  No two vertices are adjacent."""
+
+    def __init__(self, graph, edge_grids, vertex_index, m, diag, diag_k, target_h):
         self.graph: MetricGraph = graph
         self.edge_grids: tuple[EdgeGrid, ...] = edge_grids
         self.vertex_index: dict[str, int] = vertex_index
-        self.n_nodes: int = n_nodes
+        self.n_nodes: int = m.size
         self.m: np.ndarray = m          # lumped mass weights, all > 0
-        self.A = A                      # full form matrix (scipy.sparse CSR)
-        self.K = K                      # stiffness (gradient) part only
         self.target_h: float = target_h
         self.h_max: float = max(eg.h for eg in edge_grids)
-        # factor's static pattern: each edge's interior follows the V vertex
-        # nodes as one run, so the interior block of A is tridiagonal (zero
-        # between edges) and meets the end vertices only at its end nodes
         V = len(vertex_index)
-        ends = np.array([(eg.gidx[0], eg.gidx[-1] if eg.gidx[-1] >= 0 else eg.gidx[0])
-                         for eg in edge_grids])   # a half-line's far end: its own vertex
-        pos = np.array([(eg.gidx[1], eg.gidx[-2]) for eg in edge_grids])
-        self._diag, self._off, self._A_VV = A.diagonal(), A.diagonal(1)[V:], A[:V, :V].toarray()
-        self._ends, self._pos = ends, pos - V
-        self._coef = np.asarray(A[ends.ravel(), pos.ravel()]).reshape(-1, 2)
-        self._node_ends = np.repeat(ends, [eg.gidx.size - 2 for eg in edge_grids], axis=0)
+        inv = np.array([1.0 / eg.h for eg in edge_grids])
+        sizes = [eg.gidx.size - 2 for eg in edge_grids]
+        self._diag, self._diag_k = diag, diag_k
+        self._off = np.repeat(-inv, sizes)[:-1]
+        self._off[np.cumsum(sizes)[:-1] - 1] = 0.0
+        self._ends = np.array([(eg.gidx[0], eg.gidx[-1] if eg.gidx[-1] >= 0 else eg.gidx[0])
+                               for eg in edge_grids])
+        self._pos = np.array([(eg.gidx[1], eg.gidx[-2]) for eg in edge_grids]) - V
+        finite = np.array([eg.gidx[-1] >= 0 for eg in edge_grids])
+        self._coef = np.stack([-inv, np.where(finite, -inv, 0.0)], axis=1)
+        self._node_ends = np.repeat(self._ends, sizes, axis=0)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u, for u of shape (n,) or (n, k), real or complex."""
+        return self._times(self._diag, u)
+
+    def apply_k(self, u: np.ndarray) -> np.ndarray:
+        """K u, the stiffness (gradient) part of A alone."""
+        return self._times(self._diag_k, u)
+
+    def _times(self, diag, x):
+        if x.ndim == 2:
+            return np.column_stack([self._times(diag, col) for col in x.T])
+        # each row sums its terms in column order, as a CSR product does
+        V, off, coef, ends = len(self.vertex_index), self._off, self._coef, self._ends
+        pos = V + self._pos
+        y = np.empty(x.shape, np.result_type(diag, x))
+        y[:V + 1] = 0.0
+        np.multiply(off, x[V:-1], out=y[V + 1:])
+        y[pos] += coef * x[ends]
+        y += diag * x
+        y[V:-1] += off * x[V + 1:]
+        np.add.at(y, ends, coef * x[pos])
+        return y
+
+    # scipy.sparse CSR copies, built on first use (for spectral_gap, tests
+    # and demos) and left out of pickles
+    @cached_property
+    def A(self):
+        return self._csr(self._diag)
+
+    @cached_property
+    def K(self):
+        return self._csr(self._diag_k)
+
+    def _csr(self, diag):
+        import scipy.sparse as sp
+
+        V, n = len(self.vertex_index), self.n_nodes
+        off = np.concatenate([np.zeros(V), self._off])
+        B = sp.coo_matrix((self._coef.ravel(), (self._ends.ravel(), self._pos.ravel() + V)),
+                          shape=(n, n))
+        csr = (sp.diags([off, diag, off], [-1, 0, 1]) + B + B.T).tocsr()
+        csr.eliminate_zeros()
+        return csr
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("A", "K")}
 
     def zeros(self, dtype=np.complex128) -> "GraphFunction":
         return GraphFunction(self, np.zeros(self.n_nodes, dtype=dtype))
@@ -120,11 +178,9 @@ class GraphFunction:
 
 
 def build(g: MetricGraph, target_h: float) -> Discretization:
-    """Grid + matrix assembly.  Every edge needs at least 4 cells, i.e.
+    """Grid and form assembly.  Every edge needs at least 4 cells, i.e.
     target_h <= (shortest edge)/4, and the grid may have at most MAX_NODES
     nodes."""
-    import scipy.sparse as sp
-
     min_len = min(e.grid_length for e in g.edges)
     if not target_h > 0 or target_h > min_len / 4.0 * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -160,16 +216,11 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     m = np.zeros(n_nodes)
     diag_k = np.zeros(n_nodes)
     diag_w = np.zeros(n_nodes)
-    rows, cols, vals = [], [], []
     for e, eg in zip(g.edges, grids):
         inv = 1.0 / eg.h
         ga, gb = eg.gidx[:-1], eg.gidx[1:]
         np.add.at(diag_k, ga[ga >= 0], inv)
         np.add.at(diag_k, gb[gb >= 0], inv)
-        both = (ga >= 0) & (gb >= 0)
-        rows.append(ga[both])
-        cols.append(gb[both])
-        vals.append(np.full(both.sum(), -inv))
 
         w = np.full(eg.x.size, eg.h)
         w[0] = w[-1] = eg.h / 2.0
@@ -180,17 +231,32 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     diag_alpha = np.zeros(n_nodes)
     for v in g.vertices:
         diag_alpha[vertex_index[v.id]] -= v.alpha
+    return Discretization(g, tuple(grids), vertex_index, m, diag_k + diag_w + diag_alpha,
+                          diag_k, target_h)
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    off = sp.coo_matrix(
-        (np.concatenate([v, v]), (np.concatenate([r, c]), np.concatenate([c, r]))),
-        shape=(n_nodes, n_nodes),
-    )
-    K = (off + sp.diags(diag_k)).tocsr()
-    A = (off + sp.diags(diag_k + diag_w + diag_alpha)).tocsr()
-    return Discretization(g, tuple(grids), vertex_index, n_nodes, m, A, K, target_h)
+
+@cache
+def _lapack(names: tuple, dtype) -> tuple:
+    """The LAPACK routines ``names`` (without their type prefix) for dtype,
+    as scipy.linalg.get_lapack_funcs gives them, but from scipy's extension
+    module loaded from its file: importing the scipy.linalg package would
+    cost a grid command about a third of its start-up."""
+    name = "scipy.linalg._flapack"
+    try:
+        if name not in sys.modules:
+            where = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                                 "linalg", "_flapack")
+            path = next(where + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.exists(where + suffix))
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    except (AttributeError, ImportError, OSError, StopIteration):   # a scipy laid out otherwise
+        from scipy.linalg import get_lapack_funcs
+        return get_lapack_funcs(names, dtype=dtype)
+    prefix = {"f": "s", "d": "d", "F": "c", "D": "z"}[np.dtype(dtype).char]
+    return tuple(getattr(sys.modules[name], prefix + routine) for routine in names)
 
 
 class Elimination:
@@ -207,12 +273,10 @@ class Elimination:
     or below n eps max|diag|: the matrix is singular to working precision."""
 
     def __init__(self, d: Discretization, dtype):
-        from scipy.linalg import get_lapack_funcs
-
         self.d, self.dtype = d, np.dtype(dtype)
         self.V, n = len(d.vertex_index), d.n_nodes
-        self._gttrf, self._gttrs, self._getrf, self._getrs = get_lapack_funcs(
-            ("gttrf", "gttrs", "getrf", "getrs"), dtype=self.dtype)
+        self._gttrf, self._gttrs, self._getrf, self._getrs = _lapack(
+            ("gttrf", "gttrs", "getrf", "getrs"), self.dtype)
         self._off = d._off.astype(self.dtype, copy=False)   # read-only here
         self._dl, self._du = np.empty_like(self._off), np.empty_like(self._off)
         self._diag, self._abs = np.empty(n, self.dtype), np.empty(n)
@@ -237,7 +301,7 @@ class Elimination:
         Z.fill(0.0)
         Z[pos[:, :cols], np.arange(cols)] = coef[:, :cols]
         Z = self._Z = self._gttrs(dl, dt, du, du2, ipiv, Z, overwrite_b=1)[0]
-        S = d._A_VV + np.diag(shift[:V])
+        S = np.diag(diag[:V])    # A's vertex block is diagonal
         np.add.at(S, (ends[:, :, None], ends[:, None, :cols]), -coef[:, :, None] * Z[pos])
         lu, piv, _ = self._getrf(S)
         worst = min(np.abs(dt, out=self._abs[V:]).min(), np.abs(lu.diagonal()).min())
@@ -273,7 +337,7 @@ class Elimination:
         b = x.copy() if self.refine else None
         self._eliminate(x)
         if self.refine:
-            x += self._eliminate(b - (self.d.A @ x + self.shift[:, None] * x))
+            x += self._eliminate(b - (self.d.apply(x) + self.shift[:, None] * x))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution for b of shape (n,) or (n, k), as a new array; a real
@@ -292,14 +356,12 @@ class Elimination:
     def n_negative(self) -> int:
         """For a real shift, the number of negative eigenvalues of
         A + diag(shift), by Haynsworth: inertia = inertia(T) + inertia(S),
-        with a Sturm count of T (?gttrf's pivots do not give it) and eigvalsh
-        of S."""
-        from scipy.linalg import eigvalsh_tridiagonal
-
+        with a Sturm count of T (?gttrf's pivots do not give it: dstebz over
+        (-inf, 0]) and eigvalsh of S."""
         V, d = self.V, self.d
-        in_t = eigvalsh_tridiagonal(d._diag[V:] + self.shift[V:], d._off, select="v",
-                                    select_range=(-np.inf, 0.0))
-        return len(in_t) + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
+        (stebz,) = _lapack(("stebz",), float)
+        in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, 0.0, "E")[0]
+        return in_t + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
 
 
 def factor(d: Discretization, shift: np.ndarray):
@@ -332,7 +394,7 @@ def mass(u: GraphFunction) -> float:
 
 def quadratic_form(u: GraphFunction) -> float:
     """Energy form Re(u* A u): gradient + potential - vertex terms."""
-    return float(np.real(np.vdot(u.values, u.disc.A @ u.values)))
+    return float(np.real(np.vdot(u.values, u.disc.apply(u.values))))
 
 
 def g_norm_sq(u: GraphFunction, lambda0: float) -> float:
@@ -348,7 +410,7 @@ def lp_norm(u: GraphFunction, q: float) -> float:
 
 def grad_norm_sq(u: GraphFunction) -> float:
     """Squared L2 norm of the element-wise derivative."""
-    return float(np.real(np.vdot(u.values, u.disc.K @ u.values)))
+    return float(np.real(np.vdot(u.values, u.disc.apply_k(u.values))))
 
 
 def h1_norm_sq(u: GraphFunction) -> float:
@@ -357,7 +419,7 @@ def h1_norm_sq(u: GraphFunction) -> float:
 
 def h1_inner(u: GraphFunction, v: GraphFunction) -> complex:
     """H1 inner product <u, v> (conjugate-linear in v)."""
-    return complex(np.vdot(v.values, u.disc.K @ u.values)
+    return complex(np.vdot(v.values, u.disc.apply_k(u.values))
                    + np.vdot(v.values, u.disc.m * u.values))
 
 

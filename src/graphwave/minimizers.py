@@ -215,7 +215,7 @@ class _Iterate(NamedTuple):
 
 def _measure(d, p, c, lam0, u) -> _Iterate:
     m = d.m
-    Au = d.A @ u
+    Au = d.apply(u)
     abs_u = np.abs(u)
     nonlin = abs_u ** (p - 1.0) * u
     form = float(np.real(np.vdot(u, Au)))

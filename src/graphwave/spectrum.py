@@ -55,7 +55,7 @@ def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
     residual at the round-off floor.  Returns (mu, vector, iterations,
     residual).
     """
-    A, m = d.A, d.m
+    m = d.m
     solve = factor(d, -sigma * m)
     v = np.ones(d.n_nodes)
     v /= np.sqrt((m * v) @ v)
@@ -64,7 +64,7 @@ def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
     for it in range(1, max_iter + 1):
         w = solve(m * v)
         w /= np.sqrt((m * w) @ w)
-        Aw = A @ w
+        Aw = d.apply(w)
         mu = (w @ Aw)
         rvec = Aw - mu * (m * w)
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
@@ -100,7 +100,7 @@ def ground_state(d: Discretization, tol: float = 1e-10, max_iter: int = 20000) -
     """
     if not 0 < tol < np.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d.A.diagonal())) / np.min(d.m))
+    floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d._diag)) / np.min(d.m))
     tol = max(tol, floor)
     mu0, v0, it0, res0 = _shift_invert_smallest(d, _rayleigh_bound(d), tol, floor, max_iter)
     if mu0 >= 0:

@@ -420,3 +420,98 @@ def test_commands_without_a_grid_load_no_scipy(tmp_path, argv, code):
     out = python_with_graphwave(script, *argv, *extra)
     assert out.returncode == code, out.stderr
     assert out.stderr.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_non_finite_exponent_is_a_domain_error_naming_p(tmp_path, capsys, star_file, command):
+    # a NaN exponent must not reach the factor, where it reads as a singular matrix
+    out_cf = tmp_path / "cf"
+    code, _ = run(capsys, ["closed-form", "--N", "3", "--gamma", "1", "--p", "5", "--omega",
+                           "1", "--h", "0.5", "--length", "30", "--out", out_cf])
+    assert code == 0
+    profile = "--init" if command == "evolve" else "--ref"
+    argv = [command, star_file, "--p", "nan", "--h", "0.5", "--dt", "0.5", "--T", "1",
+            profile, out_cf / "profile.csv", "--out", tmp_path / command]
+    if command == "stability":
+        argv += ["--delta", "0.01"]
+    code, payload = run(capsys, argv)
+    assert code == 1
+    assert payload["error_type"] == "DomainError"
+    assert "p=nan" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass-curve", "--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "0.2:2:100000000000"],
+    ["sweep", "STAR", "--p", "6", "--c-grid", "1:2:100000000000", "--h", "0.5"],
+])
+def test_oversized_point_ranges_are_configuration_errors(tmp_path, capsys, star_file, argv):
+    # refused on the count, before np.geomspace allocates 800 GB
+    argv = [star_file if a == "STAR" else a for a in argv]
+    code, payload = run(capsys, argv + ["--out", tmp_path / "big"])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert f"above the limit {cli.MAX_POINTS}" in payload["error"]
+
+
+@pytest.fixture(scope="module")
+def grid_command_inputs(tmp_path_factory):
+    """A 3-star config and a standing-wave profile on its h = 0.5 grid."""
+    where = tmp_path_factory.mktemp("grid_inputs")
+    (where / "star3.json").write_text(serialize_graph(make_star(StarGraphSpec(3, 1.0, 30.0))))
+    assert dispatch(["closed-form", "--N", "3", "--gamma", "1", "--p", "6", "--omega", "1",
+                     "--h", "0.5", "--length", "30", "--out", str(where)]) == 0
+    return where
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "STAR", "--p", "6", "--c", "1.5", "--tau", "1"],
+    ["closed-form", "--N", "3", "--gamma", "1", "--p", "6", "--omega", "1", "--length", "30"],
+    ["evolve", "STAR", "--p", "6", "--dt", "0.25", "--T", "0.5", "--init", "PROFILE"],
+    ["stability", "STAR", "--p", "6", "--dt", "0.25", "--T", "0.5", "--delta", "0.01",
+     "--ref", "PROFILE"],
+    ["validate", "STAR", "--p", "5"],
+    ["sweep", "STAR", "--p", "6", "--c-grid", "1:2:2", "--tau", "1", "--jobs", "1"],
+])
+def test_grid_commands_load_only_scipys_lapack_module(tmp_path, grid_command_inputs, argv):
+    # the form is held as arrays and LAPACK is loaded from its extension
+    # module's file: of the grid commands only spectrum imports a scipy package
+    names = {"STAR": grid_command_inputs / "star3.json",
+             "PROFILE": grid_command_inputs / "profile.csv"}
+    script = ("import sys\n"
+              "from graphwave.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    out = python_with_graphwave(script, *(names.get(a, a) for a in argv),
+                                "--h", "0.5", "--out", tmp_path)
+    assert out.returncode == 0, out.stderr
+    # closed-form factors nothing and loads no scipy module at all
+    assert out.stderr.strip().splitlines()[-1] in ("[]", "['scipy.linalg._flapack']")
+
+
+def test_factor_is_bit_identical_through_either_lapack_loader():
+    # one process takes LAPACK from the extension module's file, the other
+    # through scipy.linalg.get_lapack_funcs, as when the file is not found
+    script = ("import hashlib, sys\n"
+              "import numpy as np\n"
+              "from graphwave import mesh\n"
+              "from graphwave.graphs import StarGraphSpec, make_star\n"
+              "if sys.argv[1] == 'fallback':   # no file found: get_lapack_funcs\n"
+              "    import importlib.machinery\n"
+              "    importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+              "d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.05)\n"
+              "rng = np.random.default_rng(1)\n"
+              "b = rng.standard_normal((d.n_nodes, 2))\n"
+              "s = d.m * rng.uniform(-1.0, 1.0, d.n_nodes)\n"
+              "real = mesh.factor(d, s)\n"
+              "cplx = mesh.factor(d, s - 2j * d.m)\n"
+              "out = [real(b), cplx(b + 1j * b[:, ::-1]), np.array(real.n_negative())]\n"
+              "print(hashlib.sha256(b''.join(x.tobytes() for x in out)).hexdigest(),\n"
+              "      'scipy.linalg' in sys.modules)\n")
+    by_file, fallback = (python_with_graphwave(script, mode) for mode in ("file", "fallback"))
+    assert by_file.returncode == 0, by_file.stderr
+    assert fallback.returncode == 0, fallback.stderr
+    (digest, package), (digest_fb, package_fb) = (
+        out.stdout.split() for out in (by_file, fallback))
+    assert digest == digest_fb
+    assert (package, package_fb) == ("False", "True")

@@ -112,6 +112,22 @@ def test_yielded_states_are_never_written_again(small_setup, p, sample_every):
     assert len({id(state.u.values) for state, _, _ in kept}) == len(kept)
 
 
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_trajectory_reusing_the_modulus_is_bit_identical(small_setup, sample_every):
+    # a trajectory takes |u| for |u|^{p-1} from the last step's sup pass;
+    # a step on a workspace of its own computes it afresh
+    d, _ = small_setup
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
+    uT, trace = evolve(d, 5.0, u0, 0.01, 0.12, sample_every=sample_every)
+    state, energies = initial_state(u0, 0.01, 5.0), [trace.energy[0]]
+    for k in range(1, 13):
+        state = step(state, d, 5.0)
+        if k % sample_every == 0:
+            energies.append(evolution.energy(state.u, 5.0).total)
+    np.testing.assert_array_equal(uT.values, state.u.values)
+    assert trace.energy == energies
+
+
 def test_standing_wave_modulus_and_phase(small_setup):
     d, _ = small_setup
     wave = ClosedFormWave(3, 1.0, 5.0, 1.0, 0)

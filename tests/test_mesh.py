@@ -23,6 +23,7 @@ from graphwave.mesh import (
     quadratic_form,
     save_function_csv,
 )
+from strategies import small_graphs as graphs_with_potentials
 
 
 def segment_graph(length=1.0, alpha_a=0.0, alpha_b=0.0):
@@ -457,3 +458,47 @@ def test_factor_near_a_dirichlet_eigenvalue_of_an_edge():
     b = np.ones(d.n_nodes)
     ref = np.linalg.solve(d.A.toarray() + np.diag(s), b)
     assert rel_err(factor(d, s)(b), ref) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.one_of(small_graphs(), graphs_with_potentials()), seed=st.integers(0, 2**32 - 1),
+       complex_u=st.booleans(), shape=st.sampled_from([(), (2,)]))
+def test_apply_matches_the_csr_product(d, seed, complex_u, shape):
+    # the self-loops of small_graphs and the potentials of the shared strategy
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((d.n_nodes, *shape))
+    if complex_u:
+        u = u + 1j * rng.standard_normal(u.shape)
+    for got, ref in ((d.apply(u), d.A @ u), (d.apply_k(u), d.K @ u)):
+        assert got.shape == u.shape and got.dtype == u.dtype
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), level=st.floats(-3.0, 1.0))
+def test_n_negative_counts_the_edge_block_as_eigvalsh_tridiagonal_does(d, seed, level):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(seed)
+    s = d.m * (level + rng.uniform(-0.5, 0.5, d.n_nodes))
+    work = mesh.Elimination(d, float)
+    work.refactor(s)
+    V = len(d.vertex_index)
+    in_t = eigvalsh_tridiagonal(d._diag[V:] + s[V:], d._off, select="v",
+                                select_range=(-np.inf, 0.0))
+    assert work.n_negative() == len(in_t) + int(np.sum(np.linalg.eigvalsh(work._S) < 0.0))
+
+
+def test_pickle_leaves_out_the_csr_copies():
+    # sweep pickles the grid to its workers, which never need scipy.sparse
+    import pickle
+
+    d = build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.05)
+    size = len(pickle.dumps(d))
+    d.A, d.K   # built on first use
+    data = pickle.dumps(d)
+    assert len(data) == size
+    copy = pickle.loads(data)
+    assert "A" not in vars(copy) and "K" not in vars(copy)
+    np.testing.assert_array_equal(copy.A.toarray(), d.A.toarray())
+    np.testing.assert_array_equal(copy.apply(d.m), d.apply(d.m))
