@@ -139,7 +139,10 @@ def _cmd_minimize(args, out, g) -> dict:
 
 def _cmd_closed_form(args, out, _) -> dict:
     wave = starwaves.ClosedFormWave(args.N, args.gamma, args.p, args.omega, args.j)
-    d = mesh.build(make_star(StarGraphSpec(args.N, args.gamma, args.length)), args.h)
+    spec = StarGraphSpec(args.N, args.gamma, args.length)
+    # refuse an oversized grid before make_star allocates the N edges
+    mesh.check_grid(1, [(spec.truncation_length, spec.n_edges)], args.h)
+    d = mesh.build(make_star(spec), args.h)
     u = starwaves.evaluate_wave(wave, d)
     mesh.save_function_csv(u, out / "profile.csv")
     return {

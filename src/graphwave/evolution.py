@@ -255,11 +255,14 @@ def stability_experiment(
     "multiplicative-noise" multiplies by 1 + delta * (seeded complex noise).
     The perturbed state is rescaled back to the reference mass, so the
     comparison stays on the same sphere.  As in ``evolve``, t_final must be
-    a whole number of steps dt; p must be finite and above 1.
+    a whole number of steps dt; p must be finite and above 1.  The trace
+    samples every max(1, n_steps // n_samples) steps, n_samples >= 1.
     """
     _check_exponent(p, linear_ok=False)
     if not delta >= 0:
         raise DomainError("perturbation size must be nonnegative")
+    if not n_samples >= 1:
+        raise DomainError(f"n_samples must be at least 1, got {n_samples!r}")
     c = mass(phi_ref)
     if mode == "eigenfunction-bump":
         if delta > 0 and bump is None:

@@ -381,8 +381,9 @@ def serialize_graph(g: MetricGraph) -> str:
 # potential integrability diagnostics
 # ---------------------------------------------------------------------------
 
-def potential_integrability_report(g: MetricGraph, p: float, samples_per_edge: int = 4096) -> dict:
-    """Numerically evaluated norms of W = W+ - W- on the truncated graph.
+def potential_integrability_report(g: MetricGraph, p: float) -> dict:
+    """Numerically evaluated norms of W = W+ - W- on the truncated graph,
+    by the trapezoid rule on 4096 samples per edge.
 
     Reports the L^1 and L^inf size of W+ and the L^r norms of W- for
     r in {1, 1 + 2/(p-1)}; finite sampled potentials always pass, so this
@@ -394,7 +395,7 @@ def potential_integrability_report(g: MetricGraph, p: float, samples_per_edge: i
     wp_l1 = wm_l1 = wm_lr = 0.0
     wp_linf = 0.0
     for e in g.edges:
-        x = np.linspace(0.0, e.grid_length, samples_per_edge)
+        x = np.linspace(0.0, e.grid_length, 4096)
         w = e.potential.values_at(x)
         w_plus = np.clip(w, 0.0, None)
         w_minus = np.clip(-w, 0.0, None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "Elimination",
     "GraphFunction",
     "build",
+    "check_grid",
     "factor",
     "mass",
     "quadratic_form",
@@ -177,31 +179,37 @@ class GraphFunction:
         return GraphFunction(self.disc, self.values.copy())
 
 
-def build(g: MetricGraph, target_h: float) -> Discretization:
-    """Grid and form assembly.  Every edge needs at least 4 cells, i.e.
-    target_h <= (shortest edge)/4, and the grid may have at most MAX_NODES
-    nodes."""
-    min_len = min(e.grid_length for e in g.edges)
+def check_grid(n_vertices: int, edges, target_h: float) -> list[int]:
+    """Cells per edge of build()'s grid, from the vertex count and the edges
+    as (grid length, count) pairs; ConfigurationError, before anything is
+    allocated, unless each edge has >= 4 cells (target_h <= shortest edge / 4)
+    and the grid at most MAX_NODES nodes and MAX_VERTICES vertices."""
+    min_len = min(length for length, _ in edges)
     if not target_h > 0 or target_h > min_len / 4.0 * (1.0 + 1e-12):
         raise ConfigurationError(
             f"grid step {target_h} too large: at most (shortest edge)/4 = {min_len / 4.0}"
         )
     # cell counts in floats: a tiny step gives inf here, not an OverflowError
-    cells = [max(4.0, np.ceil(e.grid_length / target_h)) for e in g.edges]
-    nodes = len(g.vertices) + sum(cells) - len(cells)
+    cells = [max(4.0, np.ceil(length / target_h)) for length, _ in edges]
+    nodes = n_vertices + sum(count * (n - 1.0) for (_, count), n in zip(edges, cells))
     if not nodes <= MAX_NODES:
         raise ConfigurationError(
             f"grid step {target_h} gives {nodes:.3g} nodes, above the limit {MAX_NODES}"
         )
-    if len(g.vertices) > MAX_VERTICES:
+    if n_vertices > MAX_VERTICES:
         raise ConfigurationError(
-            f"graph has {len(g.vertices)} vertices, above the limit {MAX_VERTICES}"
+            f"graph has {n_vertices} vertices, above the limit {MAX_VERTICES}"
         )
+    return [int(n) for n in cells]
 
+
+def build(g: MetricGraph, target_h: float) -> Discretization:
+    """Grid and form assembly on a grid that check_grid accepts."""
+    cells = check_grid(len(g.vertices), [(e.grid_length, 1) for e in g.edges], target_h)
     vertex_index = {v.id: i for i, v in enumerate(g.vertices)}
     next_free = len(g.vertices)
     grids = []
-    for e, n_cells in zip(g.edges, map(int, cells)):
+    for e, n_cells in zip(g.edges, cells):
         length = e.grid_length
         h = length / n_cells
         x = np.linspace(0.0, length, n_cells + 1)
@@ -264,8 +272,9 @@ class Elimination:
     kept across refactors: the off-diagonals cast once to the factor's
     dtype, the factor of the interior block T (see Discretization), Z with
     as many columns as the graph needs, the Schur complement's LU and the
-    solve's scratch.  ``factor`` factors a fresh one once; the CN time loop
-    refactors one per step and solves in place.
+    solve's scratch.  ``factor`` factors a fresh one once and returns it,
+    called as solve(b); the CN time loop refactors one per step and solves
+    in place.
 
     LAPACK ?gttrf factors T with partial pivoting, safe for indefinite and
     complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
@@ -339,7 +348,7 @@ class Elimination:
         if self.refine:
             x += self._eliminate(b - (self.d.apply(x) + self.shift[:, None] * x))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def __call__(self, b: np.ndarray) -> np.ndarray:
         """The solution for b of shape (n,) or (n, k), as a new array; a real
         factor solves a complex b as real and imaginary columns."""
         x = b.reshape(self.d.n_nodes, -1)
@@ -364,22 +373,16 @@ class Elimination:
         return in_t + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
 
 
-def factor(d: Discretization, shift: np.ndarray):
-    """Factor A + diag(shift) once; return solve(b), b of shape (n,) or (n, k).
+def factor(d: Discretization, shift: np.ndarray) -> Elimination:
+    """Factor A + diag(shift) once into a fresh Elimination and return it:
+    solve(b) solves for b of shape (n,) or (n, k), and, for a real shift,
+    solve.n_negative() counts the negative eigenvalues of A + diag(shift).
 
-    The one solver of the spectrum, the flow, Newton and the CN step: a
-    fresh Elimination factored once, which the returned function keeps
-    alive for as long as it lives.  Raises DomainError when the matrix is
-    singular to working precision.  For a real shift, solve.n_negative()
-    counts the negative eigenvalues of A + diag(shift)."""
+    The one solver of the spectrum, the flow, Newton and the CN step.
+    Raises DomainError when the matrix is singular to working precision."""
     shift = np.asarray(shift)
-    work = Elimination(d, np.result_type(d._diag, shift))
-    work.refactor(shift)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        return work.solve(b)
-
-    solve.n_negative = work.n_negative
+    solve = Elimination(d, np.result_type(d._diag, shift))
+    solve.refactor(shift)
     return solve
 
 
@@ -475,11 +478,14 @@ def load_function_csv(d: Discretization, path) -> GraphFunction:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                per_edge.setdefault(row["edge_id"], {})[float(row["x"])] = (
-                    float(row["re"]) + 1j * float(row["im"])
-                )
+                edge, x, re, im = (row["edge_id"], float(row["x"]), float(row["re"]),
+                                   float(row["im"]))
             except (KeyError, TypeError, ValueError):
                 raise SchemaError("function CSV needs columns edge_id,x,re,im") from None
+            if not all(map(math.isfinite, (x, re, im))):
+                raise SchemaError(f"function CSV has a non-finite entry on edge {edge!r} "
+                                  f"at x = {row['x']}")
+            per_edge.setdefault(edge, {})[x] = re + 1j * im
     vals = np.zeros(d.n_nodes, dtype=np.complex128)
     for eg in d.edge_grids:
         table = per_edge.get(eg.edge_id)

@@ -45,7 +45,6 @@ from .mesh import (
     Discretization,
     GraphFunction,
     factor,
-    g_norm_sq,
     lp_norm,
     mass,
     quadratic_form,
@@ -161,7 +160,7 @@ def minimize(
             raise DomainError("init function must be nonzero")
     u *= math.sqrt(c / float(np.sum(d.m * np.abs(u) ** 2)))
     try:
-        u, it, residual, energy_history, max_mass_drift, newton_steps = _descend(
+        u, it, s, energy_history, max_mass_drift, newton_steps = _descend(
             d, p, c, r, tau, tol, max_iter, lam0, u
         )
     except GraphWaveError as exc:
@@ -169,16 +168,15 @@ def minimize(
         # factorization and the iterates, for as long as the error is kept
         raise exc.with_traceback(None)
 
-    phi = GraphFunction(d, u)
     result = MinimizerResult(
-        phi=phi,
+        phi=GraphFunction(d, u),
         c=c,
         r=r,
-        energy=energy(phi, p).total,
-        omega=lagrange_multiplier(phi, p),
-        g_norm_sq=g_norm_sq(phi, lam0),
+        energy=s.energy,
+        omega=s.omega_hat,
+        g_norm_sq=s.g_sq,
         iterations=it,
-        gradient_residual=residual,
+        gradient_residual=s.residual,
         lambda0=lam0,
         psi0=ground.psi0,
         energy_history=energy_history,
@@ -238,8 +236,8 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
     residual first drops below a new power of ten.  Only the flow raises:
     the ball exit and the iteration cap are decided by its iterates.
 
-    Returns (u, flow iterations, residual, energy history, worst mass
-    drift, accepted Newton steps)."""
+    Returns (u, flow iterations, the _Iterate measured at u, energy
+    history, worst mass drift, accepted Newton steps)."""
     m = d.m
     solve = factor(d, m / tau)
     res_history: list[float] = []
@@ -266,16 +264,16 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
                 f"flow diverged at iteration {it}", residual=residual, history=res_history
             )
         if residual <= tol:
-            return u, it, residual, energy_history, max_mass_drift, 0
+            return u, it, s, energy_history, max_mass_drift, 0
         if residual < next_polish:
             while next_polish > residual:
                 next_polish /= 10.0
             polished = _newton(d, p, c, r, lam0, tol, u)
             if polished is not None:
-                u, steps = polished
+                u, s, steps = polished
                 energy_history += [t.energy for t in steps]
                 max_mass_drift = max([max_mass_drift] + [t.mass_drift for t in steps])
-                return u, it, steps[-1].residual, energy_history, max_mass_drift, len(steps)
+                return u, it, s, energy_history, max_mass_drift, len(steps)
         v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
         u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
     raise ConvergenceError(
@@ -294,7 +292,7 @@ def _newton(d, p, c, r, lam0, tol, u):
     the mass to first order; v is then renormalized to mass c.  A step is
     kept only if it is finite, stays in B(r), lowers the residual (the
     first step of the attempt need not) and does not raise the energy by
-    more than 1e-12 |E|.  Returns (u, the accepted
+    more than 1e-12 |E|.  Returns (u, its measurement, the accepted
     iterates' measurements) once the residual is <= tol and J has exactly
     one negative eigenvalue there, as at a minimizer on the mass sphere, or
     None: at a saddle (Morse index above 1), after a rejected step, a
@@ -317,7 +315,7 @@ def _newton(d, p, c, r, lam0, tol, u):
             except DomainError:
                 return None
             if s.residual <= tol:
-                return (phase * v, steps) if solve.n_negative() == 1 else None
+                return (phase * v, s, steps) if solve.n_negative() == 1 else None
             a, b = solve(np.column_stack([-m * s.rvec, mv])).T
             domega = (mv @ a + (mv @ v - c) / 2.0) / (mv @ b)
             w = v + a - domega * b

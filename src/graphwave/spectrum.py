@@ -19,6 +19,9 @@ from .mesh import Discretization, GraphFunction, factor
 
 __all__ = ["GroundStatePair", "ground_state", "spectral_gap", "spectral_gap_report"]
 
+# most power iterations ground_state takes
+_MAX_ITER = 20000
+
 
 @dataclass
 class GroundStatePair:
@@ -29,22 +32,7 @@ class GroundStatePair:
     tol: float                # residual the solve stopped at (see ground_state)
 
 
-def _rayleigh_bound(d: Discretization) -> float:
-    """Guaranteed lower bound for the smallest generalized eigenvalue.
-
-    The stiffness part is nonnegative; the sampled potential is bounded
-    below by -max(W-); each vertex term obeys |u(v)|^2 <= ||u||_M^2 / m_v.
-    """
-    w_min = 0.0
-    for e, eg in zip(d.graph.edges, d.edge_grids):
-        w_min = min(w_min, float(np.min(e.potential.values_at(eg.x))))
-    alpha_over_m = sum(
-        max(v.alpha, 0.0) / d.m[d.vertex_index[v.id]] for v in d.graph.vertices
-    )
-    return -(abs(w_min) + alpha_over_m) - 1.0
-
-
-def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
+def _shift_invert_smallest(d, sigma, tol, floor):
     """Power iteration on (A - sigma M)^{-1} M from the constant vector,
     converging to the smallest eigenvalue when sigma is below the spectrum
     (the constant vector meets the positive ground state).
@@ -61,7 +49,7 @@ def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
     v /= np.sqrt((m * v) @ v)
     res = np.inf
     refactors = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = solve(m * v)
         w /= np.sqrt((m * w) @ w)
         Aw = d.apply(w)
@@ -80,12 +68,12 @@ def _shift_invert_smallest(d, sigma, tol, floor, max_iter):
                 solve = factor(d, -sigma * m)
                 refactors += 1
     raise ConvergenceError(
-        f"eigenvalue iteration did not reach tol={tol} in {max_iter} iterations",
+        f"eigenvalue iteration did not reach tol={tol} in {_MAX_ITER} iterations",
         residual=res,
     )
 
 
-def ground_state(d: Discretization, tol: float = 1e-10, max_iter: int = 20000) -> GroundStatePair:
+def ground_state(d: Discretization, tol: float = 1e-10) -> GroundStatePair:
     """Smallest eigenpair of the form, returned as (lambda0, psi0).
 
     tol is an absolute bound on the eigen-residual ||A v - mu M v|| / ||M v||.
@@ -102,7 +90,10 @@ def ground_state(d: Discretization, tol: float = 1e-10, max_iter: int = 20000) -
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d._diag)) / np.min(d.m))
     tol = max(tol, floor)
-    mu0, v0, it0, res0 = _shift_invert_smallest(d, _rayleigh_bound(d), tol, floor, max_iter)
+    # start one below Gershgorin's bound for M^{-1} A: every off-diagonal of
+    # A is -1/h or 0, so no eigenvalue lies below min_i (A 1)_i / m_i
+    sigma = float(np.min(d.apply(np.ones(d.n_nodes)) / d.m)) - 1.0
+    mu0, v0, it0, res0 = _shift_invert_smallest(d, sigma, tol, floor)
     if mu0 >= 0:
         raise AssumptionError(
             "no negative ground energy: the bottom of the spectrum is "

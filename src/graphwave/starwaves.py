@@ -190,20 +190,13 @@ def solve_omega_for_mass(
     )
 
 
-def monotone_window(
-    n_edges: int,
-    gamma: float,
-    p: float,
-    omega_max: float | None = None,
-    n_samples: int = 80,
-) -> tuple[float, float]:
+def monotone_window(n_edges: int, gamma: float, p: float) -> tuple[float, float]:
     """Empirical window (threshold, omega_hi) on which the mass curve
-    increases: sample on a log-spaced grid above the threshold and take the
-    largest prefix with positive successive differences."""
+    increases: sample 80 log-spaced points from just above the threshold to
+    400 times it and take the largest prefix with positive successive
+    differences."""
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
-    if omega_max is None:
-        omega_max = 400.0 * thr
-    grid = np.geomspace(thr * (1.0 + 1e-3), omega_max, n_samples)
+    grid = np.geomspace(thr * (1.0 + 1e-3), 400.0 * thr, 80)
     vals = np.array([mass_curve(n_edges, gamma, p, w) for w in grid])
     hi = grid[-1]
     for i in range(len(grid) - 1):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -515,3 +516,46 @@ def test_factor_is_bit_identical_through_either_lapack_loader():
         out.stdout.split() for out in (by_file, fallback))
     assert digest == digest_fb
     assert (package, package_fb) == ("False", "True")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, column, bad", [
+    (["minimize", "--p", "6", "--c", "1.5", "--tau", "1", "--init"], "re", "nan"),
+    (["evolve", "--p", "5", "--dt", "0.25", "--T", "0.5", "--init"], "im", "inf"),
+    (["stability", "--p", "6", "--dt", "0.25", "--T", "0.5", "--delta", "0.01", "--ref"],
+     "re", "nan"),
+])
+def test_non_finite_function_csv_is_a_schema_error(tmp_path, capsys, star_file, argv, column,
+                                                   bad):
+    # refused at load, naming where; it had reached the flow ("diverged",
+    # with a NaN residual in the JSON) or the factor ("singular: pivot nan")
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    good, path = tmp_path / "good.csv", tmp_path / "bad.csv"
+    mesh.save_function_csv(d.constant(0.1), good)
+    with good.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    target = next(row for row in rows if row["edge_id"] == "e2" and float(row["x"]) == 1.5)
+    target[column] = bad
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["edge_id", "x", "re", "im"])
+        writer.writeheader()
+        writer.writerows(rows)
+    command, *options = argv
+    code, payload = run(capsys, [command, star_file, "--h", "0.5", *options, path,
+                                 "--out", tmp_path / command])
+    assert code == 1
+    assert payload["error_type"] == "SchemaError"
+    assert "'e2'" in payload["error"] and "x = 1.5" in payload["error"]
+
+
+def test_closed_form_refuses_an_oversized_star_before_building_it(tmp_path, capsys, monkeypatch):
+    # 10^9 edges would be tens of GB of Edge objects before build's check
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the node count must be checked before the star is built")
+
+    monkeypatch.setattr(cli, "make_star", not_reached)
+    code, payload = run(capsys, ["closed-form", "--N", "1000000000", "--gamma", "1",
+                                 "--p", "5", "--omega", "1", "--out", tmp_path / "cf"])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert f"nodes, above the limit {mesh.MAX_NODES}" in payload["error"]

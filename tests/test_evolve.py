@@ -269,3 +269,12 @@ def test_stability_and_evolve_share_one_loop(reference_minimizer):
     assert trace.times == ev.times
     e0 = ev.energy[0]
     assert trace.energy_drift == [abs(e - e0) / abs(e0) for e in ev.energy]
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_stability_sample_count_must_be_positive(reference_minimizer, n_samples):
+    # 0 had raised ZeroDivisionError, and a negative count sampled every step
+    d, gs, res = reference_minimizer
+    with pytest.raises(DomainError, match="n_samples"):
+        stability_experiment(d, 6.0, res.phi, delta=1e-2, t_final=0.1, dt=0.01, bump=gs.psi0,
+                             n_samples=n_samples)

@@ -23,6 +23,7 @@ from graphwave.mesh import (
     quadratic_form,
     save_function_csv,
 )
+from graphwave.spectrum import ground_state
 from strategies import small_graphs as graphs_with_potentials
 
 
@@ -281,6 +282,16 @@ def test_csv_rejects_missing_edge(tmp_path, disc_h02):
         load_function_csv(disc_h02, path)
 
 
+@pytest.mark.parametrize("column", ["edge_id", "x", "re", "im"])
+def test_csv_missing_column_is_a_schema_error(tmp_path, disc_h02, column):
+    row = {k: v for k, v in {"edge_id": "e1", "x": "0.0", "re": "1.0", "im": "0.0"}.items()
+           if k != column}
+    path = tmp_path / "fn.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(SchemaError, match="needs columns edge_id,x,re,im"):
+        load_function_csv(disc_h02, path)
+
+
 def test_csv_missing_file_is_a_configuration_error(tmp_path, disc_h02):
     with pytest.raises(ConfigurationError, match="nope.csv"):
         load_function_csv(disc_h02, tmp_path / "nope.csv")
@@ -502,3 +513,24 @@ def test_pickle_leaves_out_the_csr_copies():
     assert "A" not in vars(copy) and "K" not in vars(copy)
     np.testing.assert_array_equal(copy.A.toarray(), d.A.toarray())
     np.testing.assert_array_equal(copy.apply(d.m), d.apply(d.m))
+
+
+def test_flux_defect_does_not_depend_on_edge_orientation():
+    # the finite edge ends at a in one orientation and at b in the other, so
+    # both terms of the defect are used; it is O(h) at a smooth ground state
+    def graph(reverse):
+        finite = Edge("f", "b", "a", 2.0) if reverse else Edge("f", "a", "b", 2.0)
+        return MetricGraph(
+            vertices=(Vertex("a", 1.0), Vertex("b", 0.5)),
+            edges=(finite, Edge("ha", "a", None, math.inf, 20.0),
+                   Edge("hb", "b", None, math.inf, 20.0)),
+        ).validate()
+
+    defects = {}
+    for h in (0.05, 0.025):
+        for reverse in (False, True):
+            psi0 = ground_state(build(graph(reverse), h)).psi0
+            defects[h, reverse] = np.array([mesh.vertex_flux_defect(psi0, v) for v in "ab"])
+    for h in (0.05, 0.025):
+        np.testing.assert_allclose(defects[h, True], defects[h, False], rtol=1e-9)
+    np.testing.assert_allclose(defects[0.05, False] / defects[0.025, False], 2.0, rtol=0.01)

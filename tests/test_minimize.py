@@ -284,3 +284,30 @@ def test_newton_first_step_may_raise_the_residual(disc_h02, ground_h02):
     assert res.gradient_residual <= 1e-8
     assert res.omega == pytest.approx(0.48888178, abs=1e-7)
     assert all(v for k, v in res.diagnostics.items() if k.endswith("_ok"))
+
+
+def test_newton_declines_an_iterate_without_constant_phase(monkeypatch, disc_h02, ground_h02):
+    # a start twisted by exp(0.05 i (k+1) x) on edge k: Newton gives the
+    # iterate back to the flow until the flow has untwisted it, and the
+    # result is the minimizer reached from sqrt(c) psi0
+    attempts = []
+
+    def recording_newton(d, p, c, r, lam0, tol, u):
+        k = int(np.argmax(np.abs(u)))
+        gauged = u * abs(u[k]) / u[k]
+        attempts.append(float(np.max(np.abs(gauged.imag))) / abs(u[k]))
+        return newton(d, p, c, r, lam0, tol, u)
+
+    newton = minimizers._newton
+    monkeypatch.setattr(minimizers, "_newton", recording_newton)
+    c = C_REF_P6
+    twist = disc_h02.from_edge_profiles(lambda k, x: np.exp(0.05j * (k + 1) * x))
+    init = GraphFunction(disc_h02, math.sqrt(c) * ground_h02.psi0.values * twist.values)
+    twisted = minimize(disc_h02, 6.0, c, 1.0, tau=1.0, init=init, ground=ground_h02)
+    declined = [t for t in attempts[:-1] if t > 1e-8]
+    assert len(declined) == len(attempts) - 1 == 6
+    assert attempts[-1] <= 1e-8 and twisted.newton_steps >= 1
+    plain = minimize(disc_h02, 6.0, c, 1.0, tau=1.0, ground=ground_h02)
+    assert twisted.energy == pytest.approx(plain.energy, abs=1e-13)
+    assert twisted.omega == pytest.approx(plain.omega, abs=1e-12)
+    assert twisted.diagnostics["phase_constant_ok"]
