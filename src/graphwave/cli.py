@@ -2,7 +2,8 @@
 artifacts plus a reproducibility manifest in the output directory.
 
 Exit codes: 0 success; 1 domain/feasibility/model errors; 2 solver
-non-convergence; 64 usage errors (argparse-level problems).
+non-convergence (with the solver's residual per iteration, when it kept
+one, in convergence_history.csv); 64 usage errors (argparse-level problems).
 """
 from __future__ import annotations
 
@@ -12,13 +13,11 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, evolution, mesh, minimizers, spectrum, starwaves
+from . import __version__
 from .errors import (
     BallExitError,
     ConfigurationError,
@@ -26,7 +25,9 @@ from .errors import (
     FeasibilityError,
     GraphWaveError,
 )
-from .graphs import StarGraphSpec, make_star, parse_graph
+
+# numpy, the library modules and the process pool are imported where used,
+# so that --version, a usage error and mass-curve start without most of them
 
 SCHEMA_VERSION = 1
 # namespace entries that are not run parameters: where the output goes, the
@@ -55,7 +56,7 @@ def _emit(payload: dict) -> None:
 def _csv_cell(x):
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):   # int and numpy's integer types
         return str(int(x))
     return repr(float(x))
 
@@ -66,6 +67,12 @@ def _write_csv(path: Path, header: list, rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_csv_cell(x) for x in row])
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' pool, its module imported only when a sweep starts one."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _prepare(args):
@@ -84,6 +91,7 @@ def _prepare(args):
             raise ConfigurationError(
                 f"cannot read graph config {graph_path}: {exc.strerror}"
             ) from None
+        from .graphs import parse_graph
         g = parse_graph(text)
     else:
         text = json.dumps(params, sort_keys=True, default=float)
@@ -108,6 +116,7 @@ def _prepare(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args, out, g) -> dict:
+    from . import mesh, spectrum
     d = mesh.build(g, args.h)
     pair = spectrum.ground_state(d, tol=args.tol)
     gap, gap_iterations = spectrum.spectral_gap(pair)
@@ -125,6 +134,7 @@ def _cmd_spectrum(args, out, g) -> dict:
 
 
 def _cmd_minimize(args, out, g) -> dict:
+    from . import mesh, minimizers
     d = mesh.build(g, args.h)
     init = mesh.load_function_csv(d, args.init) if args.init else None
     res = minimizers.minimize(
@@ -138,6 +148,8 @@ def _cmd_minimize(args, out, g) -> dict:
 
 
 def _cmd_closed_form(args, out, _) -> dict:
+    from . import mesh, minimizers, starwaves
+    from .graphs import StarGraphSpec, make_star
     wave = starwaves.ClosedFormWave(args.N, args.gamma, args.p, args.omega, args.j)
     spec = StarGraphSpec(args.N, args.gamma, args.length)
     # refuse an oversized grid before make_star allocates the N edges
@@ -156,6 +168,7 @@ def _cmd_closed_form(args, out, _) -> dict:
 
 
 def _cmd_mass_curve(args, out, _) -> dict:
+    from . import starwaves
     omegas = _geometric_grid(args.omega_range, "--omega-range")
     rows = [(w, starwaves.mass_curve(args.N, args.gamma, args.p, float(w))) for w in omegas]
     _write_csv(out / "mass_curve.csv", ["omega", "mass"], rows)
@@ -167,6 +180,8 @@ def _cmd_mass_curve(args, out, _) -> dict:
 
 
 def _cmd_evolve(args, out, g) -> dict:
+    import numpy as np
+    from . import evolution, mesh
     d = mesh.build(g, args.h)
     u0 = mesh.load_function_csv(d, args.init)
     _, trace = evolution.evolve(d, args.p, u0, args.dt, args.T, sample_every=args.sample_every)
@@ -186,6 +201,8 @@ def _cmd_evolve(args, out, g) -> dict:
 
 
 def _cmd_stability(args, out, g) -> dict:
+    import numpy as np
+    from . import evolution, mesh, spectrum
     d = mesh.build(g, args.h)
     phi_ref = mesh.load_function_csv(d, args.ref)
     bump = None
@@ -209,6 +226,8 @@ def _cmd_stability(args, out, g) -> dict:
 
 
 def _cmd_validate(args, out, g) -> dict:
+    import numpy as np
+    from . import mesh, spectrum, starwaves
     d = mesh.build(g, args.h)
     pair = spectrum.ground_state(d)
     lam0 = pair.lambda0
@@ -272,6 +291,7 @@ def _cmd_validate(args, out, g) -> dict:
 def _sweep_point(task):
     """Run one minimize for the sweep; a failure that depends on the point's
     mass becomes a row."""
+    from . import minimizers
     d, ground, p, c, r, tau, tol, max_iter = task
     try:
         res = minimizers.minimize(
@@ -294,6 +314,7 @@ def _sweep_point(task):
 
 
 def _cmd_sweep(args, out, g) -> dict:
+    from . import mesh, minimizers, spectrum
     if not 1 <= args.jobs <= MAX_JOBS:
         raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     cs = _geometric_grid(args.c_grid, "--c-grid")
@@ -327,10 +348,11 @@ def _cmd_sweep(args, out, g) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
-def _geometric_grid(triplet, option: str) -> np.ndarray:
+def _geometric_grid(triplet, option: str):
     lo, hi, n = triplet   # the count is checked before anything is allocated
     if n > MAX_POINTS:
         raise ConfigurationError(f"{option} asks for {n} points, above the limit {MAX_POINTS}")
+    import numpy as np
     return np.geomspace(lo, hi, n)
 
 
@@ -434,6 +456,9 @@ def dispatch(argv) -> int:
     try:
         payload = args.func(args, *_prepare(args))
     except ConvergenceError as exc:
+        if exc.history:   # one residual per iteration, for diagnosing the run
+            _write_csv(Path(args.out) / "convergence_history.csv", ["iteration", "residual"],
+                       enumerate(exc.history, 1))
         _emit({"error": str(exc), "error_type": "ConvergenceError", "residual": exc.residual})
         return 2
     except GraphWaveError as exc:

@@ -468,7 +468,9 @@ def save_function_csv(u: GraphFunction, path) -> None:
 
 
 def load_function_csv(d: Discretization, path) -> GraphFunction:
-    """Read a (edge_id, x, re, im) table sampled on exactly this grid."""
+    """Read a (edge_id, x, re, im) table sampled on exactly this grid, one
+    row per node; a repeated (edge_id, x) or an edge the grid lacks is a
+    SchemaError."""
     per_edge: dict[str, dict[float, complex]] = {}
     try:
         fh = open(path, newline="")
@@ -485,7 +487,10 @@ def load_function_csv(d: Discretization, path) -> GraphFunction:
             if not all(map(math.isfinite, (x, re, im))):
                 raise SchemaError(f"function CSV has a non-finite entry on edge {edge!r} "
                                   f"at x = {row['x']}")
-            per_edge.setdefault(edge, {})[x] = re + 1j * im
+            table = per_edge.setdefault(edge, {})
+            if x in table:
+                raise SchemaError(f"function CSV repeats edge {edge!r} at x = {row['x']}")
+            table[x] = re + 1j * im
     vals = np.zeros(d.n_nodes, dtype=np.complex128)
     for eg in d.edge_grids:
         table = per_edge.get(eg.edge_id)
@@ -505,4 +510,8 @@ def load_function_csv(d: Discretization, path) -> GraphFunction:
                 f"near x = {x[np.argmax(bad)]}"
             )
         vals[eg.gidx[keep]] = ys[k]
+    unknown = sorted(per_edge.keys() - {eg.edge_id for eg in d.edge_grids})
+    if unknown:
+        raise SchemaError(f"function CSV has rows for edge {unknown[0]!r}, "
+                          "which the grid does not have")
     return GraphFunction(d, vals)

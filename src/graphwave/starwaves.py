@@ -22,11 +22,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
-from .mesh import Discretization, GraphFunction
+
+if TYPE_CHECKING:   # mass-curve runs without the grid modules
+    from .mesh import Discretization, GraphFunction
 
 __all__ = [
     "ClosedFormWave",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphwave
-from graphwave import cli, mesh, minimizers, spectrum
+from graphwave import cli, graphs, mesh, minimizers, spectrum
 from graphwave.cli import build_parser, dispatch
 from graphwave.graphs import StarGraphSpec, make_star, serialize_graph
 
@@ -338,7 +338,7 @@ def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, op
         raise AssertionError("arguments must be checked before any worker or solve")
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", not_reached)
-    monkeypatch.setattr(cli.spectrum, "ground_state", not_reached)
+    monkeypatch.setattr(spectrum, "ground_state", not_reached)
     argv = {"--p": "6", "--c-grid": "1.0:2.0:3", "--h": "0.5", "--tau": "1.0",
             "--tol": "1e-8", "--jobs": "2"}
     argv[option] = value
@@ -465,6 +465,7 @@ def grid_command_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum", "STAR"],
     ["minimize", "STAR", "--p", "6", "--c", "1.5", "--tau", "1"],
     ["closed-form", "--N", "3", "--gamma", "1", "--p", "6", "--omega", "1", "--length", "30"],
     ["evolve", "STAR", "--p", "6", "--dt", "0.25", "--T", "0.5", "--init", "PROFILE"],
@@ -474,8 +475,9 @@ def grid_command_inputs(tmp_path_factory):
     ["sweep", "STAR", "--p", "6", "--c-grid", "1:2:2", "--tau", "1", "--jobs", "1"],
 ])
 def test_grid_commands_load_only_scipys_lapack_module(tmp_path, grid_command_inputs, argv):
-    # the form is held as arrays and LAPACK is loaded from its extension
-    # module's file: of the grid commands only spectrum imports a scipy package
+    # the form is held as arrays, LAPACK is loaded from its extension
+    # module's file and the spectral gap is a numpy Lanczos: no grid command
+    # imports a scipy package
     names = {"STAR": grid_command_inputs / "star3.json",
              "PROFILE": grid_command_inputs / "profile.csv"}
     script = ("import sys\n"
@@ -488,6 +490,39 @@ def test_grid_commands_load_only_scipys_lapack_module(tmp_path, grid_command_inp
     assert out.returncode == 0, out.stderr
     # closed-form factors nothing and loads no scipy module at all
     assert out.stderr.strip().splitlines()[-1] in ("[]", "['scipy.linalg._flapack']")
+
+
+PACKAGE_ONLY = ["graphwave", "graphwave.cli", "graphwave.errors"]
+GRID = ["graphwave.graphs", "graphwave.mesh"]
+
+
+@pytest.mark.parametrize("argv, code, modules, numpy", [
+    (["--version"], 0, PACKAGE_ONLY, False),
+    (["minimize", "--bogus"], 64, PACKAGE_ONLY, False),
+    (["mass-curve", "--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "0.2:2:5",
+      "--out", "OUT"], 0, PACKAGE_ONLY + ["graphwave.starwaves"], True),
+    (["sweep", "STAR", "--p", "6", "--c-grid", "1:2:2", "--tau", "1", "--jobs", "1",
+      "--h", "0.5", "--out", "OUT"], 0,
+     PACKAGE_ONLY + GRID + ["graphwave.minimizers", "graphwave.spectrum"], True),
+])
+def test_commands_import_only_what_they_run(tmp_path, grid_command_inputs, argv, code, modules,
+                                            numpy):
+    # --version and usage errors print before numpy would load, and the
+    # process pool's module loads only when a sweep starts workers
+    names = {"STAR": grid_command_inputs / "star3.json", "OUT": tmp_path}
+    script = ("import sys\n"
+              "from graphwave.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'graphwave'),\n"
+              "      'numpy' in sys.modules, 'concurrent.futures.process' in sys.modules,\n"
+              "      file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    out = python_with_graphwave(script, *(names.get(a, a) for a in argv))
+    assert out.returncode == code, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == f"{sorted(modules)} {numpy} False"
 
 
 def test_factor_is_bit_identical_through_either_lapack_loader():
@@ -553,9 +588,65 @@ def test_closed_form_refuses_an_oversized_star_before_building_it(tmp_path, caps
     def not_reached(*args, **kwargs):
         raise AssertionError("the node count must be checked before the star is built")
 
-    monkeypatch.setattr(cli, "make_star", not_reached)
+    monkeypatch.setattr(graphs, "make_star", not_reached)
     code, payload = run(capsys, ["closed-form", "--N", "1000000000", "--gamma", "1",
                                  "--p", "5", "--omega", "1", "--out", tmp_path / "cf"])
     assert code == 1
     assert payload["error_type"] == "ConfigurationError"
     assert f"nodes, above the limit {mesh.MAX_NODES}" in payload["error"]
+
+
+def test_convergence_failure_leaves_its_history(tmp_path, capsys, star_file):
+    out = tmp_path / "cap"
+    code, payload = run(
+        capsys,
+        ["minimize", star_file, "--p", "6", "--c", "1.5", "--h", "0.05",
+         "--tau", "1.0", "--tol", "1e-15", "--max-iter", "5", "--out", out],
+    )
+    assert code == 2
+    assert payload["error_type"] == "ConvergenceError"
+    with (out / "convergence_history.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "residual"]
+    assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
+    assert float(rows[-1][1]) == payload["residual"]
+
+
+def test_spectral_gap_step_cap_exits_2(tmp_path, capsys, monkeypatch, star_file):
+    monkeypatch.setattr(spectrum, "_MAX_LANCZOS", 5)
+    out = tmp_path / "s"
+    code, payload = run(capsys, ["spectrum", star_file, "--h", "0.5", "--out", out])
+    assert code == 2
+    assert payload["error_type"] == "ConvergenceError"
+    assert "5 steps" in payload["error"]
+    # the Lanczos keeps no residual history, so no file stands for one
+    assert not (out / "convergence_history.csv").exists()
+
+
+def write_function_csv_with(path, extra_row):
+    """A constant profile on the h = 0.5 3-star, with extra_row appended."""
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    mesh.save_function_csv(d.constant(0.1), path)
+    with path.open("a", newline="") as fh:
+        csv.writer(fh).writerow(extra_row)
+    return path
+
+
+def test_repeated_function_csv_row_is_a_schema_error(tmp_path, capsys, star_file):
+    # a concatenated file used to load silently, the later row winning
+    path = write_function_csv_with(tmp_path / "init.csv", ["e2", "1.5", "7.0", "0.0"])
+    code, payload = run(capsys, ["evolve", star_file, "--p", "5", "--h", "0.5", "--dt", "0.25",
+                                 "--T", "0.5", "--init", path, "--out", tmp_path / "ev"])
+    assert code == 1
+    assert payload["error_type"] == "SchemaError"
+    assert "'e2'" in payload["error"] and "x = 1.5" in payload["error"]
+
+
+def test_function_csv_row_of_an_unknown_edge_is_a_schema_error(tmp_path, capsys, star_file):
+    path = write_function_csv_with(tmp_path / "ref.csv", ["zz", "0.0", "1.0", "0.0"])
+    code, payload = run(capsys, ["stability", star_file, "--p", "6", "--h", "0.5", "--dt",
+                                 "0.25", "--T", "0.5", "--delta", "0.01", "--ref", path,
+                                 "--out", tmp_path / "st"])
+    assert code == 1
+    assert payload["error_type"] == "SchemaError"
+    assert "'zz'" in payload["error"]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import GraphFunction, mass, quadratic_form
 from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
 from strategies import small_graphs
+
+# examples of the gap-against-eigh gate; CI also runs it with 300
+GAP_EXAMPLES = int(os.environ.get("GRAPHWAVE_GAP_EXAMPLES", "30"))
 
 
 def test_star3_ground_state(ground_h01):
@@ -137,7 +141,18 @@ def test_residual_floor_on_a_fine_grid(star3):
     assert abs(pair.lambda0 - 1.0 / 9.0) <= 1e-6
 
 
-@settings(max_examples=30, deadline=None)
+def test_gap_of_a_triple_second_eigenvalue_matches_dense_eigh():
+    # four equal half-lines: the three modes that vanish at the vertex share
+    # the second eigenvalue, and Lanczos must land on it, not past it
+    d = mesh.build(make_star(StarGraphSpec(4, 1.0, 10.0)), 0.05)
+    mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 4])
+    assert mu[3] - mu[1] < 1e-10 * mu[1] < mu[4] - mu[3]
+    gap, solves = spectral_gap(ground_state(d))
+    assert gap == pytest.approx(mu[1] - mu[0], abs=1e-7)
+    assert solves <= spectrum._MAX_LANCZOS
+
+
+@settings(max_examples=GAP_EXAMPLES, deadline=None)
 @given(d=small_graphs())
 def test_spectral_gap_matches_dense_eigh(d):
     mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 1])
