@@ -319,7 +319,7 @@ def _cmd_sweep(args, out, g) -> dict:
         raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     cs = _geometric_grid(args.c_grid, "--c-grid")
     # an argument error is common to every point: refuse it before any solve
-    minimizers.check_arguments(args.p, args.c_grid[0], args.tau, args.tol)
+    minimizers.check_arguments(args.p, args.c_grid[0], args.r, args.tau, args.tol)
     # one grid and one ground state, shared by every point (pickled to workers)
     d = mesh.build(g, args.h)
     ground = spectrum.ground_state(d)
@@ -361,8 +361,8 @@ def _range_triplet(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (lo > 0 and hi > lo and n >= 1):
-        raise argparse.ArgumentTypeError("need 0 < lo < hi and n >= 1")
+    if not (0 < lo < hi < math.inf and n >= 1):
+        raise argparse.ArgumentTypeError("need 0 < lo < hi < inf and n >= 1")
     return lo, hi, n
 
 

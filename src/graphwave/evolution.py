@@ -21,8 +21,8 @@ Both ``evolve`` and ``stability_experiment`` run the one time loop,
 ``_trajectory``: it checks the time grid, seeds the relaxation field, steps
 under the overflow guard and yields the sampled states; each caller only
 applies its own observables to those samples.  A trajectory keeps one
-workspace: the factor's storage, refactored in place at every step, and
-the arrays of the states it has not handed out, which later steps reuse.
+factor's storage, refactored in place at every step; each step allocates
+its new state.
 """
 from __future__ import annotations
 
@@ -83,8 +83,7 @@ def initial_state(u0: GraphFunction, dt: float, p: float | None) -> EvolutionSta
 
 class _Workspace:
     """One trajectory's storage: the CN factor, refactored in place at every
-    step, the step's buffers, and spare arrays for the next state, taken
-    from states nobody else holds."""
+    step, and the step's buffers."""
 
     def __init__(self, d: Discretization, dt: float, p: float | None):
         self.elim = Elimination(d, np.complex128)
@@ -97,7 +96,6 @@ class _Workspace:
         # |u| of the last state step returned (its sup pass writes it), which
         # the next step from that state reuses for |u|^{p-1}
         self.abs, self.abs_of = np.empty(d.n_nodes), None
-        self.spare: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 def step(
@@ -111,8 +109,7 @@ def step(
     (_trajectory passes its one workspace as _work)."""
     u, dt = state.u.values, state.dt
     work = _Workspace(d, dt, p) if _work is None else _work
-    u_next, gam = work.spare.pop() if work.spare else (np.empty(u.size, np.complex128),
-                                                       np.empty(u.size))
+    u_next, gam = np.empty(u.size, np.complex128), np.empty(u.size)
     if p is None:
         gam.fill(0.0)
     else:
@@ -179,14 +176,9 @@ def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float
     guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
     work = _Workspace(d, dt, p)
     yield state
-    handed_out = True
     for k in range(1, n_steps + 1):
-        last, state = state, step(state, d, p, sup_guard=guard, _work=work)
-        # a yielded state belongs to the caller and is never written again
-        if not handed_out:
-            work.spare.append((last.u.values, last.gamma_relax))
-        handed_out = k % sample_every == 0 or k == n_steps
-        if handed_out:
+        state = step(state, d, p, sup_guard=guard, _work=work)
+        if k % sample_every == 0 or k == n_steps:
             yield state
 
 

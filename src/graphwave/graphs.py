@@ -389,8 +389,8 @@ def potential_integrability_report(g: MetricGraph, p: float) -> dict:
     r in {1, 1 + 2/(p-1)}; finite sampled potentials always pass, so this
     is purely diagnostic.
     """
-    if p < 5:
-        raise DomainError("integrability report is defined for p >= 5")
+    if not 5 <= p < math.inf:
+        raise DomainError(f"integrability report is defined for finite p >= 5, got {p!r}")
     r_hi = 1.0 + 2.0 / (p - 1.0)
     wp_l1 = wm_l1 = wm_lr = 0.0
     wp_linf = 0.0

@@ -271,10 +271,9 @@ class Elimination:
     """Storage for the O(n) edge/vertex elimination of A + diag(shift),
     kept across refactors: the off-diagonals cast once to the factor's
     dtype, the factor of the interior block T (see Discretization), Z with
-    as many columns as the graph needs, the Schur complement's LU and the
-    solve's scratch.  ``factor`` factors a fresh one once and returns it,
-    called as solve(b); the CN time loop refactors one per step and solves
-    in place.
+    as many columns as the graph needs and the Schur complement's LU.
+    ``factor`` factors a fresh one once and returns it, called as solve(b);
+    the CN time loop refactors one per step and solves in place.
 
     LAPACK ?gttrf factors T with partial pivoting, safe for indefinite and
     complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
@@ -294,7 +293,6 @@ class Elimination:
         # second column (a half-line's far end couples to nothing)
         self._cols = 2 if d._coef[:, 1].any() else 1
         self._Z = np.zeros((n - self.V, self._cols), self.dtype, order="F")
-        self._scratch = np.empty((n - self.V, 1), self.dtype)
 
     def refactor(self, shift: np.ndarray) -> None:
         """Factor A + diag(shift) into this storage, replacing the last factor."""
@@ -330,12 +328,8 @@ class Elimination:
         r = x[:V].copy()
         np.add.at(r, d._ends, -d._coef[:, :, None] * y[d._pos])
         x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
-        if self._scratch.shape != y.shape:
-            self._scratch = np.empty(y.shape, self.dtype)
-        g = self._scratch
         for j in range(self._cols):
-            np.take(x_v, d._node_ends[:, j], axis=0, out=g, mode="clip")
-            y -= np.multiply(self._Z[:, j:j + 1], g, out=g)
+            y -= self._Z[:, j:j + 1] * x_v[d._node_ends[:, j]]
         if not np.may_share_memory(y, x):   # overwrite_b is a request, not a promise
             x[V:] = y
         return x
@@ -406,8 +400,8 @@ def g_norm_sq(u: GraphFunction, lambda0: float) -> float:
 
 
 def lp_norm(u: GraphFunction, q: float) -> float:
-    if q < 1:
-        raise DomainError("lp_norm needs q >= 1")
+    if not 1 <= q < math.inf:
+        raise DomainError(f"lp_norm needs finite q >= 1, got {q!r}")
     return float(np.sum(u.disc.m * np.abs(u.values) ** q) ** (1.0 / q))
 
 

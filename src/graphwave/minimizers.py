@@ -11,8 +11,8 @@ where omega_hat is the instantaneous multiplier estimate
 sphere-tangential part of the gradient and makes the fixed points of the
 iteration exactly the discrete stationary states, so the stationary
 residual (the convergence metric) can actually reach the tolerance at a
-fixed tau.  One (M/tau + A) factorization serves all the flow's
-iterations.
+fixed tau.  One (M/tau + A) factorization, made at the flow's first
+step, serves all its iterations.
 
 The flow is only the globalization.  Each time its residual first drops
 below a new power of ten (from 1e-1 on), bordered Newton steps on the
@@ -76,8 +76,8 @@ class EnergyBreakdown:
 
 
 def energy(u: GraphFunction, p: float) -> EnergyBreakdown:
-    if p < 1:
-        raise DomainError("energy needs p >= 1")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"energy needs finite p >= 1, got {p!r}")
     quad_half = 0.5 * quadratic_form(u)
     nonlin = -lp_norm(u, p + 1.0) ** (p + 1.0) / (p + 1.0)
     return EnergyBreakdown(quad_half, nonlin, quad_half + nonlin)
@@ -85,8 +85,8 @@ def energy(u: GraphFunction, p: float) -> EnergyBreakdown:
 
 def feasibility_bound(lambda0: float, r: float) -> float:
     """Largest mass for which the sphere intersects the ball: r / lambda0."""
-    if not r > 0 or not lambda0 > 0:
-        raise DomainError("feasibility bound needs r > 0 and lambda0 > 0")
+    if not (0 < r < math.inf and 0 < lambda0 < math.inf):
+        raise DomainError("feasibility bound needs finite r > 0 and lambda0 > 0")
     return r / lambda0
 
 
@@ -136,11 +136,11 @@ def minimize(
     and monitored against the ball.  Converges when the stationary residual
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
-    Raises DomainError (p < 5, c <= 0, tau not in (0, inf), tol <= 0; NaN
-    fails every check), FeasibilityError (c > r/lambda0), BallExitError
-    (iterate left B(r)), or ConvergenceError (iteration cap).
+    Raises DomainError (p not in [5, inf), c <= 0, r, tau or tol not in
+    (0, inf); NaN fails every check), FeasibilityError (c > r/lambda0),
+    BallExitError (iterate left B(r)), or ConvergenceError (iteration cap).
     """
-    check_arguments(p, c, tau, tol)
+    check_arguments(p, c, r, tau, tol)
     if tau is None:
         tau = d.h_max
     if ground is None:
@@ -187,17 +187,19 @@ def minimize(
     return result
 
 
-def check_arguments(p: float, c: float, tau: float | None, tol: float) -> None:
+def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float) -> None:
     """minimize's argument checks, which need no grid (tau None stands for
     the default, the grid step); NaN fails each.  Raises DomainError."""
-    if not p >= 5:
-        raise DomainError("local minimization is set up for p >= 5")
+    if not 5 <= p < math.inf:
+        raise DomainError(f"local minimization is set up for finite p >= 5, got {p!r}")
     if not c > 0:
         raise DomainError("mass c must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError(f"ball radius r must be positive and finite, got {r!r}")
     if tau is not None and not 0 < tau < math.inf:
         raise DomainError(f"flow step tau must be positive and finite, got {tau!r}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 class _Iterate(NamedTuple):
@@ -239,7 +241,7 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
     Returns (u, flow iterations, the _Iterate measured at u, energy
     history, worst mass drift, accepted Newton steps)."""
     m = d.m
-    solve = factor(d, m / tau)
+    solve = None
     res_history: list[float] = []
     energy_history: list[float] = []
     max_mass_drift = 0.0
@@ -274,6 +276,8 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
                 energy_history += [t.energy for t in steps]
                 max_mass_drift = max([max_mass_drift] + [t.mass_drift for t in steps])
                 return u, it, s, energy_history, max_mass_drift, len(steps)
+        if solve is None:   # factored only once the flow takes a step
+            solve = factor(d, m / tau)
         v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
         u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
     raise ConvergenceError(

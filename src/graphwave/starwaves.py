@@ -47,8 +47,8 @@ def profile_f(x, p: float, omega: float):
 
     Even in x, maximal at 0, decaying like exp(-sqrt(omega) |x|).
     """
-    if not omega > 0 or not p > 1:
-        raise DomainError("profile needs omega > 0 and p > 1")
+    if not (0 < omega < math.inf and 1 < p < math.inf):
+        raise DomainError("profile needs finite omega > 0 and p > 1")
     x = np.asarray(x, dtype=float)
     k = 0.5 * (p - 1.0) * math.sqrt(omega)
     # overflow-safe sech via exp(-|z|)
@@ -76,17 +76,12 @@ class ClosedFormWave:
     shift: float = field(init=False)
 
     def __post_init__(self):
-        if self.n_edges < 2:
-            raise DomainError("star wave needs N >= 2")
-        if not self.gamma > 0:
-            raise DomainError("vertex strength gamma must be positive")
-        if self.j < 0 or self.j > (self.n_edges - 1) // 2:
-            raise DomainError(f"branch index j={self.j} outside 0..(N-1)//2")
         thr = self.threshold(self.n_edges, self.gamma, self.j)
-        if not self.omega > thr:
-            raise DomainError(
-                f"omega={self.omega} below existence threshold {thr} for branch j={self.j}"
-            )
+        if not 1 < self.p < math.inf:
+            raise DomainError(f"star wave needs finite p > 1, got p={self.p!r}")
+        if not thr < self.omega < math.inf:
+            raise DomainError(f"omega={self.omega} not finite or below existence "
+                              f"threshold {thr} for branch j={self.j}")
         a = math.atanh(self.gamma / ((self.n_edges - 2 * self.j) * math.sqrt(self.omega)))
         k = 0.5 * (self.p - 1.0) * math.sqrt(self.omega)
         object.__setattr__(self, "a_j", a)
@@ -94,6 +89,14 @@ class ClosedFormWave:
 
     @staticmethod
     def threshold(n_edges: int, gamma: float, j: int = 0) -> float:
+        """gamma^2 / (N - 2j)^2, below which branch j does not exist; refuses
+        N < 2, j outside 0..(N-1)//2 and gamma not finite and positive."""
+        if n_edges < 2:
+            raise DomainError(f"star wave needs N >= 2, got N={n_edges}")
+        if not 0 <= j <= (n_edges - 1) // 2:
+            raise DomainError(f"branch index j={j} outside 0..(N-1)//2")
+        if not 0 < gamma < math.inf:
+            raise DomainError(f"vertex strength gamma must be positive and finite, got {gamma!r}")
         return gamma**2 / (n_edges - 2 * j) ** 2
 
     def edge_values(self, k: int, x) -> np.ndarray:
@@ -135,8 +138,8 @@ def h_integral(x: float, p: float) -> float:
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("h integral needs 0 <= x < 1")
-    if not p >= 5:
-        raise DomainError("h integral is used for p >= 5")
+    if not 5 <= p < math.inf:
+        raise DomainError(f"h integral is used for finite p >= 5, got p={p!r}")
     nodes, weights = _gauss_legendre()
     q = 0.5 * (p - 1.0)
     b = (1.0 - x) ** (1.0 / q)
@@ -148,6 +151,8 @@ def mass_curve(n_edges: int, gamma: float, p: float, omega: float) -> float:
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     if not omega > thr:
         raise DomainError(f"omega={omega} at or below the existence threshold {thr}")
+    if not 5 <= p < math.inf:
+        raise DomainError(f"the mass curve is used for finite p >= 5, got p={p!r}")
     pref = (2.0 * n_edges / (p - 1.0)) * (0.5 * (p + 1.0)) ** (2.0 / (p - 1.0))
     return (
         pref

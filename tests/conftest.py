@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphwave import mesh
 from graphwave.graphs import StarGraphSpec, make_star
 from graphwave.minimizers import minimize
 from graphwave.spectrum import ground_state
 from graphwave.starwaves import mass_curve
+
+# tier-1 draws the same Hypothesis examples on every run, so its work and its
+# verdict do not move from run to run; CI also runs the property tests under
+# the randomized profile: pytest -m hypothesis --hypothesis-profile=explore
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 # frozen reference mass for the p=6 benchmark minimizer: mass_curve(3, 1, 6, 0.25)
 C_REF_P6 = 2.4932614021089914

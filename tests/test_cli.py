@@ -260,7 +260,8 @@ def test_missing_input_files_are_configuration_errors(tmp_path, capsys, star_fil
 @pytest.mark.parametrize(
     "option, value",
     [("--tau", "0"), ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"),
-     ("--tol", "0"), ("--tol", "nan"), ("--p", "nan"), ("--p", "4")],
+     ("--tol", "0"), ("--tol", "nan"), ("--p", "nan"), ("--p", "4"),
+     ("--p", "inf"), ("--tol", "inf"), ("--r", "inf")],
 )
 def test_minimize_bad_numbers_are_domain_errors(tmp_path, capsys, monkeypatch, star_file,
                                                 option, value):
@@ -331,7 +332,8 @@ def test_grid_node_limit(tmp_path, capsys, monkeypatch, star_file):
     assert "above the limit 177" in payload["error"]
 
 
-@pytest.mark.parametrize("option, value", [("--tau", "0"), ("--tol", "nan"), ("--p", "3")])
+@pytest.mark.parametrize("option, value", [("--tau", "0"), ("--tol", "nan"), ("--p", "3"),
+                                           ("--p", "inf"), ("--tol", "inf"), ("--r", "inf")])
 def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, option, value):
     # an argument error is common to every point, so it fails the run, not rows
     def not_reached(*args, **kwargs):
@@ -347,6 +349,45 @@ def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, op
     assert code == 1
     assert payload["error_type"] == "DomainError"
     assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in stdout is not JSON")
+
+
+STAR = ["closed-form", "--N", "3", "--gamma", "1", "--h", "0.5", "--length", "20"]
+CURVE = ["mass-curve", "--N", "3", "--gamma", "1", "--omega-range", "0.2:0.5:3"]
+
+
+@pytest.mark.parametrize("argv", [
+    STAR + ["--p", "1", "--omega", "1"],
+    STAR + ["--p", "inf", "--omega", "1"],
+    STAR + ["--p", "5", "--omega", "inf"],
+    CURVE + ["--p", "1"],
+    CURVE + ["--p", "-1"],
+    CURVE + ["--p", "inf"],
+    CURVE + ["--p", "5", "--N", "0"],
+    CURVE + ["--p", "5", "--gamma", "0"],
+    CURVE + ["--p", "5", "--omega-range", "0.2:inf:3"],
+    ["sweep", "GRAPH", "--p", "6", "--c-grid", "0.2:inf:3", "--h", "0.5"],
+    ["validate", "GRAPH", "--p", "inf", "--h", "0.5"],
+], ids=["closed-form-p-1", "closed-form-p-inf", "closed-form-omega-inf", "mass-curve-p-1",
+        "mass-curve-p-minus-1", "mass-curve-p-inf", "mass-curve-N-0", "mass-curve-gamma-0",
+        "mass-curve-range-inf", "sweep-range-inf", "validate-p-inf"])
+def test_star_and_range_numbers_are_refused(tmp_path, capsys, star_file, argv):
+    # a typed error (exit 1) or a usage error (exit 64), never a traceback,
+    # a NaN or Infinity on stdout, or a run other than the one asked
+    argv = [str(star_file) if a == "GRAPH" else a for a in argv]
+    try:
+        code = dispatch(argv + ["--out", str(tmp_path / "o")])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (1, 64)
+    if code == 64:
+        assert out == ""
+    else:
+        assert "error_type" in json.loads(out, parse_constant=_no_constant)
 
 
 def test_minimize_reports_newton_steps(tmp_path, capsys, star_file):

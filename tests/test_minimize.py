@@ -7,8 +7,8 @@ import pytest
 
 from graphwave import mesh, minimizers
 from graphwave.errors import BallExitError, ConvergenceError, DomainError, FeasibilityError
-from graphwave.graphs import StarGraphSpec, make_star
-from graphwave.mesh import GraphFunction, h1_norm_sq, lp_norm, mass, quadratic_form
+from graphwave.graphs import StarGraphSpec, make_star, potential_integrability_report
+from graphwave.mesh import GraphFunction, gn_ratio, h1_norm_sq, lp_norm, mass, quadratic_form
 from graphwave.minimizers import (
     energy,
     feasibility_bound,
@@ -20,8 +20,10 @@ from graphwave.minimizers import (
 from graphwave.starwaves import (
     ClosedFormWave,
     evaluate_wave,
+    h_integral,
     mass_curve,
     monotone_window,
+    profile_f,
     solve_omega_for_mass,
 )
 
@@ -54,6 +56,23 @@ def test_energy_matches_analytic_quadrature(disc_h01):
     u = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), disc_h01)
     assert quadratic_form(u) == pytest.approx(FORM_CLOSED_51, abs=2e-4)
     assert energy(u, 5.0).total == pytest.approx(ENERGY_CLOSED_51, abs=2e-4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, g: energy(u, math.nan),
+    lambda u, g: lagrange_multiplier(u, math.nan),
+    lambda u, g: lp_norm(u, math.nan),
+    lambda u, g: gn_ratio(u, math.nan),
+    lambda u, g: potential_integrability_report(g, math.nan),
+    lambda u, g: feasibility_bound(0.1, math.inf),
+    lambda u, g: h_integral(0.5, math.inf),
+    lambda u, g: profile_f(0.5, math.inf, 1.0),
+], ids=["energy", "lagrange_multiplier", "lp_norm", "gn_ratio",
+        "potential_integrability_report", "feasibility_bound", "h_integral", "profile_f"])
+def test_library_checks_refuse_nan_and_inf(star3, disc_h02, call):
+    u = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), disc_h02)
+    with pytest.raises(DomainError):
+        call(u, star3)
 
 
 def test_feasibility_bound_values():
@@ -260,6 +279,31 @@ def test_typed_error_releases_factorizations(monkeypatch, disc_h02, ground_h02, 
         assert solves and all(ref() is None for ref in solves)
     finally:
         gc.enable()
+
+
+def test_flow_is_factored_only_when_it_steps(monkeypatch, disc_h02, ground_h02):
+    # at the default tau Newton finishes from the start, before the flow's
+    # first step, so M/tau + A is never factored; from a twisted start, which
+    # Newton declines until the flow has untwisted it, it is factored once
+    shifts = []
+
+    def recording_factor(d, shift):
+        shifts.append(shift)
+        return mesh.factor(d, shift)
+
+    def flow_factors(tau):
+        return sum(np.array_equal(s, disc_h02.m / tau) for s in shifts)
+
+    monkeypatch.setattr(minimizers, "factor", recording_factor)
+    res = minimize(disc_h02, 6.0, C_REF_P6, 1.0, ground=ground_h02)
+    assert res.iterations == 1 and res.newton_steps >= 1
+    assert shifts and flow_factors(disc_h02.h_max) == 0
+    shifts.clear()
+    twist = disc_h02.from_edge_profiles(lambda k, x: np.exp(0.05j * (k + 1) * x))
+    init = GraphFunction(disc_h02, math.sqrt(C_REF_P6) * ground_h02.psi0.values * twist.values)
+    twisted = minimize(disc_h02, 6.0, C_REF_P6, 1.0, tau=1.0, init=init, ground=ground_h02)
+    assert twisted.iterations > 1
+    assert flow_factors(1.0) == 1
 
 
 def test_newton_keeps_the_ball_exit(disc_h02, ground_h02):
