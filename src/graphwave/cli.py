@@ -22,6 +22,7 @@ from .errors import (
     BallExitError,
     ConfigurationError,
     ConvergenceError,
+    DomainError,
     FeasibilityError,
     GraphWaveError,
 )
@@ -156,12 +157,16 @@ def _cmd_closed_form(args, out, _) -> dict:
     mesh.check_grid(1, [(spec.truncation_length, spec.n_edges)], args.h)
     d = mesh.build(make_star(spec), args.h)
     u = starwaves.evaluate_wave(wave, d)
+    mass, energy = mesh.mass(u), minimizers.energy(u, args.p).total
+    if not (math.isfinite(mass) and math.isfinite(energy)):
+        raise DomainError(f"omega={args.omega} gives a mass {mass} and energy {energy} "
+                          "that are not both finite")
     mesh.save_function_csv(u, out / "profile.csv")
     return {
         "a_j": wave.a_j,
         "shift": wave.shift,
-        "mass": mesh.mass(u),
-        "energy": minimizers.energy(u, args.p).total,
+        "mass": mass,
+        "energy": energy,
         "omega": args.omega,
         "threshold": starwaves.ClosedFormWave.threshold(args.N, args.gamma, args.j),
     }
@@ -253,7 +258,7 @@ def _cmd_validate(args, out, g) -> dict:
     if g.is_star() and zero_pot:
         n = len(g.edges)
         gamma = g.vertices[0].alpha
-        lam_exact = gamma**2 / n**2
+        lam_exact = starwaves.ClosedFormWave.threshold(n, gamma)
         tol_lam = 100.0 * d.h_max**2 * lam_exact
         check("lambda0_star_value", abs(lam0 - lam_exact), tol_lam,
               abs(lam0 - lam_exact) <= tol_lam)
@@ -319,7 +324,7 @@ def _cmd_sweep(args, out, g) -> dict:
         raise ConfigurationError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     cs = _geometric_grid(args.c_grid, "--c-grid")
     # an argument error is common to every point: refuse it before any solve
-    minimizers.check_arguments(args.p, args.c_grid[0], args.r, args.tau, args.tol)
+    minimizers.check_arguments(args.p, args.c_grid[0], args.r, args.tau, args.tol, args.max_iter)
     # one grid and one ground state, shared by every point (pickled to workers)
     d = mesh.build(g, args.h)
     ground = spectrum.ground_state(d)

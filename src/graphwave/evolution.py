@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError
 from .mesh import (
     Discretization,
     Elimination,
@@ -56,6 +56,8 @@ __all__ = [
 
 # a step whose sup norm exceeds this multiple of the initial one is a blow-up
 _BLOW_UP_RATIO = 1e6
+# most time steps an evolve or stability run may take: 100 times the longest documented run
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -150,12 +152,18 @@ class EvolutionTrace:
 
 def _n_steps(t_final: float, dt: float) -> int:
     """Number of steps of size dt that land on t_final; anything other than
-    a positive whole number (to 1e-9 relative) is refused, never rounded."""
+    a positive whole number (to 1e-9 relative) is refused, never rounded,
+    and more than MAX_STEPS is a ConfigurationError."""
     ratio = t_final / dt if dt else math.nan
     n = round(ratio) if math.isfinite(ratio) else 0
     if n < 1 or abs(ratio - n) > 1e-9 * n:
         raise DomainError(
             f"t_final={t_final!r} is not a positive whole number of steps dt={dt!r}"
+        )
+    if n > MAX_STEPS:
+        raise ConfigurationError(
+            f"t_final={t_final!r} and dt={dt!r} ask for {ratio:.3g} steps, "
+            f"above the limit {MAX_STEPS}"
         )
     return n
 

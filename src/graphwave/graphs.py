@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -127,15 +127,6 @@ class MetricGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def vertex_ids(self):
-        return [v.id for v in self.vertices]
-
-    def alpha(self, vertex_id: str) -> float:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v.alpha
-        raise KeyError(vertex_id)
-
     @property
     def total_length(self) -> float:
         return sum(e.grid_length for e in self.edges)
@@ -149,15 +140,14 @@ class MetricGraph:
 
     def validate(self) -> "MetricGraph":
         """Check structural invariants; raise SchemaError / AssumptionError."""
-        ids = self.vertex_ids()
-        if len(set(ids)) != len(ids):
+        known = {v.id for v in self.vertices}
+        if len(known) != len(self.vertices):
             raise SchemaError("duplicate vertex id")
         edge_ids = [e.id for e in self.edges]
         if len(set(edge_ids)) != len(edge_ids):
             raise SchemaError("duplicate edge id")
         if not self.edges:
             raise SchemaError("graph has no edges")
-        known = set(ids)
         for e in self.edges:
             if e.frm not in known:
                 raise SchemaError(f"edge {e.id!r}: unknown vertex {e.frm!r}")
@@ -229,7 +219,6 @@ def make_star(spec: StarGraphSpec) -> MetricGraph:
             id=f"e{i + 1}",
             frm="v0",
             to=None,
-            length=INFINITE,
             truncation=spec.truncation_length,
         )
         for i in range(spec.n_edges)
@@ -261,6 +250,11 @@ def _number(value, where: str) -> float:
     return x
 
 
+# wire format: type name -> the potential class, its fields the named numbers
+# (except "samples", whose lists are named x and w)
+_POTENTIALS = {"zero": ZeroPotential, "square_well": SquareWell, "gaussian": GaussianBump}
+
+
 def _parse_potential(obj, where: str) -> Potential:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: potential must be an object")
@@ -270,12 +264,9 @@ def _parse_potential(obj, where: str) -> Potential:
         return _number(obj[key], f"{where}.potential.{key}")
 
     try:
-        if kind == "zero":
-            return ZeroPotential()
-        if kind == "square_well":
-            return SquareWell(num("depth"), num("start"), num("width"))
-        if kind == "gaussian":
-            return GaussianBump(num("amplitude"), num("center"), num("width"))
+        for name, cls in _POTENTIALS.items():
+            if kind == name:   # not a lookup: kind may be any JSON value
+                return cls(*(num(f.name) for f in fields(cls)))
         if kind == "samples":
             if not (isinstance(obj["x"], list) and isinstance(obj["w"], list)):
                 raise SchemaError(f"{where}: potential.x and potential.w must be lists")
@@ -289,12 +280,9 @@ def _parse_potential(obj, where: str) -> Potential:
 
 
 def _potential_to_json(p: Potential):
-    if isinstance(p, ZeroPotential):
-        return {"type": "zero"}
-    if isinstance(p, SquareWell):
-        return {"type": "square_well", "depth": p.depth, "start": p.start, "width": p.width}
-    if isinstance(p, GaussianBump):
-        return {"type": "gaussian", "amplitude": p.amplitude, "center": p.center, "width": p.width}
+    for kind, cls in _POTENTIALS.items():
+        if isinstance(p, cls):
+            return {"type": kind, **asdict(p)}
     return {"type": "samples", "x": list(p.positions), "w": list(p.values)}
 
 
@@ -342,8 +330,6 @@ def parse_graph(config_text: str) -> MetricGraph:
             length = INFINITE
         else:
             length = _number(e["length"], f"{where}.length")
-            if not length > 0:
-                raise SchemaError(f"{where}.length: edge length must be positive")
         trunc = e.get("truncation")
         edges.append(
             Edge(

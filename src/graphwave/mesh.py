@@ -74,13 +74,12 @@ class Discretization:
     a half-line's far end) of edge k's end j, vertex ``_ends[k, j]``, to its
     interior node ``V + _pos[k, j]``.  No two vertices are adjacent."""
 
-    def __init__(self, graph, edge_grids, vertex_index, m, diag, diag_k, target_h):
+    def __init__(self, graph, edge_grids, vertex_index, m, diag, diag_k):
         self.graph: MetricGraph = graph
         self.edge_grids: tuple[EdgeGrid, ...] = edge_grids
         self.vertex_index: dict[str, int] = vertex_index
         self.n_nodes: int = m.size
         self.m: np.ndarray = m          # lumped mass weights, all > 0
-        self.target_h: float = target_h
         self.h_max: float = max(eg.h for eg in edge_grids)
         V = len(vertex_index)
         inv = np.array([1.0 / eg.h for eg in edge_grids])
@@ -239,8 +238,7 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     diag_alpha = np.zeros(n_nodes)
     for v in g.vertices:
         diag_alpha[vertex_index[v.id]] -= v.alpha
-    return Discretization(g, tuple(grids), vertex_index, m, diag_k + diag_w + diag_alpha,
-                          diag_k, target_h)
+    return Discretization(g, tuple(grids), vertex_index, m, diag_k + diag_w + diag_alpha, diag_k)
 
 
 @cache
@@ -443,7 +441,7 @@ def vertex_flux_defect(u: GraphFunction, vertex_id: str) -> complex:
             total += (u.values[eg.gidx[1]] - u.values[gi]) / eg.h
         if eg.gidx[-1] == gi:
             total += (u.values[eg.gidx[-2]] - u.values[gi]) / eg.h
-    return complex(total + d.graph.alpha(vertex_id) * u.values[gi])
+    return complex(total + d.graph.vertices[gi].alpha * u.values[gi])
 
 
 # ---------------------------------------------------------------------------

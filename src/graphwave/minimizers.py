@@ -29,6 +29,7 @@ error.  Typed outcomes (ball exit, iteration cap) come from the flow alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -137,10 +138,11 @@ def minimize(
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
     Raises DomainError (p not in [5, inf), c <= 0, r, tau or tol not in
-    (0, inf); NaN fails every check), FeasibilityError (c > r/lambda0),
-    BallExitError (iterate left B(r)), or ConvergenceError (iteration cap).
+    (0, inf), max_iter not an integer >= 1; NaN fails every check),
+    FeasibilityError (c > r/lambda0), BallExitError (iterate left B(r)), or
+    ConvergenceError (iteration cap).
     """
-    check_arguments(p, c, r, tau, tol)
+    check_arguments(p, c, r, tau, tol, max_iter)
     if tau is None:
         tau = d.h_max
     if ground is None:
@@ -187,7 +189,8 @@ def minimize(
     return result
 
 
-def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float) -> None:
+def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float,
+                    max_iter: int) -> None:
     """minimize's argument checks, which need no grid (tau None stands for
     the default, the grid step); NaN fails each.  Raises DomainError."""
     if not 5 <= p < math.inf:
@@ -200,6 +203,8 @@ def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float)
         raise DomainError(f"flow step tau must be positive and finite, got {tau!r}")
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError(f"iteration cap max_iter must be an integer >= 1, got {max_iter!r}")
 
 
 class _Iterate(NamedTuple):

@@ -90,14 +90,22 @@ class ClosedFormWave:
     @staticmethod
     def threshold(n_edges: int, gamma: float, j: int = 0) -> float:
         """gamma^2 / (N - 2j)^2, below which branch j does not exist; refuses
-        N < 2, j outside 0..(N-1)//2 and gamma not finite and positive."""
+        N < 2, j outside 0..(N-1)//2, gamma not finite and positive, and a
+        threshold that overflows or underflows to 0."""
         if n_edges < 2:
             raise DomainError(f"star wave needs N >= 2, got N={n_edges}")
         if not 0 <= j <= (n_edges - 1) // 2:
             raise DomainError(f"branch index j={j} outside 0..(N-1)//2")
         if not 0 < gamma < math.inf:
             raise DomainError(f"vertex strength gamma must be positive and finite, got {gamma!r}")
-        return gamma**2 / (n_edges - 2 * j) ** 2
+        try:
+            thr = gamma**2 / (n_edges - 2 * j) ** 2
+        except OverflowError:   # a square beyond the float range
+            thr = math.inf
+        if not 0 < thr < math.inf:
+            raise DomainError(f"threshold gamma^2/(N-2j)^2 = {thr} for gamma={gamma!r} and "
+                              f"N={n_edges} is not a finite positive number")
+        return thr
 
     def edge_values(self, k: int, x) -> np.ndarray:
         """Profile on edge k (0-based): the first j edges carry the bump

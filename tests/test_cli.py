@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphwave
-from graphwave import cli, graphs, mesh, minimizers, spectrum
+from graphwave import cli, evolution, graphs, mesh, minimizers, spectrum
 from graphwave.cli import build_parser, dispatch
 from graphwave.graphs import StarGraphSpec, make_star, serialize_graph
 
@@ -261,7 +261,8 @@ def test_missing_input_files_are_configuration_errors(tmp_path, capsys, star_fil
     "option, value",
     [("--tau", "0"), ("--tau", "-1"), ("--tau", "nan"), ("--tau", "inf"),
      ("--tol", "0"), ("--tol", "nan"), ("--p", "nan"), ("--p", "4"),
-     ("--p", "inf"), ("--tol", "inf"), ("--r", "inf")],
+     ("--p", "inf"), ("--tol", "inf"), ("--r", "inf"), ("--max-iter", "0"),
+     ("--max-iter", "-1")],
 )
 def test_minimize_bad_numbers_are_domain_errors(tmp_path, capsys, monkeypatch, star_file,
                                                 option, value):
@@ -333,7 +334,8 @@ def test_grid_node_limit(tmp_path, capsys, monkeypatch, star_file):
 
 
 @pytest.mark.parametrize("option, value", [("--tau", "0"), ("--tol", "nan"), ("--p", "3"),
-                                           ("--p", "inf"), ("--tol", "inf"), ("--r", "inf")])
+                                           ("--p", "inf"), ("--tol", "inf"), ("--r", "inf"),
+                                           ("--max-iter", "0")])
 def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, option, value):
     # an argument error is common to every point, so it fails the run, not rows
     def not_reached(*args, **kwargs):
@@ -371,9 +373,16 @@ CURVE = ["mass-curve", "--N", "3", "--gamma", "1", "--omega-range", "0.2:0.5:3"]
     CURVE + ["--p", "5", "--omega-range", "0.2:inf:3"],
     ["sweep", "GRAPH", "--p", "6", "--c-grid", "0.2:inf:3", "--h", "0.5"],
     ["validate", "GRAPH", "--p", "inf", "--h", "0.5"],
+    STAR + ["--p", "5", "--omega", "1", "--gamma", "1e308"],
+    CURVE + ["--p", "5", "--gamma", "1e308"],
+    CURVE + ["--p", "5", "--gamma", "1e-308"],
+    STAR + ["--p", "5", "--omega", "1e308"],
+    STAR + ["--p", "5", "--omega", "5e307"],
 ], ids=["closed-form-p-1", "closed-form-p-inf", "closed-form-omega-inf", "mass-curve-p-1",
         "mass-curve-p-minus-1", "mass-curve-p-inf", "mass-curve-N-0", "mass-curve-gamma-0",
-        "mass-curve-range-inf", "sweep-range-inf", "validate-p-inf"])
+        "mass-curve-range-inf", "sweep-range-inf", "validate-p-inf", "closed-form-gamma-1e308",
+        "mass-curve-gamma-1e308", "mass-curve-gamma-1e-308", "closed-form-omega-1e308",
+        "closed-form-omega-5e307"])
 def test_star_and_range_numbers_are_refused(tmp_path, capsys, star_file, argv):
     # a typed error (exit 1) or a usage error (exit 64), never a traceback,
     # a NaN or Infinity on stdout, or a run other than the one asked
@@ -495,6 +504,25 @@ def test_oversized_point_ranges_are_configuration_errors(tmp_path, capsys, star_
     assert f"above the limit {cli.MAX_POINTS}" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_step_count_over_the_cap_is_refused_before_any_step(tmp_path, capsys, monkeypatch,
+                                                            grid_command_inputs, command):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the step count must be checked before the first step")
+
+    monkeypatch.setattr(evolution, "step", not_reached)
+    profile = "--init" if command == "evolve" else "--ref"
+    argv = [command, grid_command_inputs / "star3.json", "--p", "5", "--h", "0.5",
+            "--dt", "1e-300", "--T", "1", profile, grid_command_inputs / "profile.csv",
+            "--out", tmp_path / command]
+    if command == "stability":
+        argv += ["--delta", "0.01"]
+    code, payload = run(capsys, argv)
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert f"above the limit {evolution.MAX_STEPS}" in payload["error"]
+
+
 @pytest.fixture(scope="module")
 def grid_command_inputs(tmp_path_factory):
     """A 3-star config and a standing-wave profile on its h = 0.5 grid."""
@@ -531,6 +559,60 @@ def test_grid_commands_load_only_scipys_lapack_module(tmp_path, grid_command_inp
     assert out.returncode == 0, out.stderr
     # closed-form factors nothing and loads no scipy module at all
     assert out.stderr.strip().splitlines()[-1] in ("[]", "['scipy.linalg._flapack']")
+
+
+# one run per command on the 3-star at h = 0.5 (GRAPH and PROFILE stand for
+# grid_command_inputs' files); minimize and sweep stop after 200 iterations
+OPTION_SWEEP_BASE = {
+    "spectrum": ["GRAPH", "--h", "0.5"],
+    "minimize": ["GRAPH", "--p", "6", "--c", "1.5", "--h", "0.5", "--max-iter", "200"],
+    "closed-form": ["--N", "3", "--gamma", "1", "--p", "6", "--omega", "1", "--h", "0.5",
+                    "--length", "30"],
+    "mass-curve": ["--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "0.2:0.5:3"],
+    "evolve": ["GRAPH", "--p", "6", "--h", "0.5", "--dt", "0.25", "--T", "0.5",
+               "--init", "PROFILE"],
+    "stability": ["GRAPH", "--p", "6", "--h", "0.5", "--dt", "0.25", "--T", "0.5",
+                  "--delta", "0.01", "--ref", "PROFILE"],
+    "validate": ["GRAPH", "--p", "5", "--h", "0.5"],
+    "sweep": ["GRAPH", "--p", "6", "--c-grid", "1:2:2", "--h", "0.5", "--max-iter", "200"],
+}
+
+
+def numeric_options():
+    """(command, option) for every option the parser reads as a number or a
+    lo:hi:n range, except --seed, which only the noise mode reads."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return [(name, a.option_strings[0]) for name, sp in commands.items() for a in sp._actions
+            if a.type in (int, float, cli._range_triplet) and a.dest != "seed"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308"])
+@pytest.mark.parametrize("command, option", numeric_options())
+def test_every_numeric_option_ends_in_a_documented_exit(tmp_path, capsys, grid_command_inputs,
+                                                         command, option, value):
+    # every extreme number ends as a result, a typed error or a usage error:
+    # no traceback, no other exit code, and no NaN or Infinity on stdout
+    argv = list(OPTION_SWEEP_BASE[command])
+    if option in ("--omega-range", "--c-grid"):   # the range's upper end
+        lo, _, n = argv[argv.index(option) + 1].split(":")
+        value = f"{lo}:{value}:{n}"
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    names = {"GRAPH": grid_command_inputs / "star3.json",
+             "PROFILE": grid_command_inputs / "profile.csv"}
+    argv = [command, *(str(names.get(a, a)) for a in argv), "--out", str(tmp_path)]
+    try:
+        code = dispatch(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 64)
+    if code == 64:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=_no_constant)
 
 
 PACKAGE_ONLY = ["graphwave", "graphwave.cli", "graphwave.errors"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwave import evolution, mesh
-from graphwave.errors import BlowUpError, DomainError
+from graphwave.errors import BlowUpError, ConfigurationError, DomainError
 from graphwave.evolution import (
     EvolutionState,
     evolve,
@@ -181,6 +181,14 @@ def test_time_grid_must_be_whole_steps(small_setup, t_final, dt, sample_every):
     if sample_every == 1:
         with pytest.raises(DomainError):
             stability_experiment(d, 6.0, u0, delta=0.0, t_final=t_final, dt=dt)
+
+
+def test_step_count_is_capped():
+    # a resource request: 1e9 steps would run for hours, 1e300 for ever
+    assert evolution._n_steps(1.0, 1.0 / evolution.MAX_STEPS) == evolution.MAX_STEPS
+    for dt in (1e-9, 1e-300):
+        with pytest.raises(ConfigurationError, match="above the limit"):
+            evolution._n_steps(1.0, dt)
 
 
 def test_blow_up_guard_triggers(small_setup):

@@ -205,3 +205,12 @@ def test_integrability_report_square_well():
     assert rep["w_minus_l1"] == pytest.approx(6.0, abs=0.05)
     with pytest.raises(DomainError):
         potential_integrability_report(g, 3.0)
+
+
+@pytest.mark.parametrize("kind", ["cubic", ["zero"], {"type": "zero"}, None])
+def test_unknown_potential_type_is_a_schema_error(kind):
+    # a JSON list or object as the type is an unknown type, not a TypeError
+    doc = json.loads(STAR3)
+    doc["edges"][0]["potential"] = {"type": kind}
+    with pytest.raises(SchemaError, match="unknown potential type"):
+        parse_graph(json.dumps(doc))
