@@ -1,9 +1,16 @@
-"""Typed error hierarchy shared by all graphwave modules.
+"""Typed error hierarchy shared by all graphwave modules, and the one
+domain rule they all apply: the range of the nonlinearity exponent p.
 
 The CLI maps these onto exit codes: problem-domain errors (bad input,
 infeasible constraint, leaving the energy ball) exit 1, solver
 non-convergence exits 2.
 """
+
+# largest nonlinearity exponent p accepted.  Up to it |u|^{p-1} stays a
+# normal float for every |u| >= 1e-6, and the closed-form profile's
+# sech^{2/(p-1)} loses digits to underflow only below 3e-13 of its peak; at
+# p = 1e308 both are gone (a box profile, a flow that sees a linear problem)
+MAX_EXPONENT = 50.0
 
 
 class GraphWaveError(Exception):
@@ -49,6 +56,16 @@ class ConvergenceError(GraphWaveError):
         super().__init__(message)
         self.residual = residual
         self.history = history if history is not None else []
+
+
+def check_exponent(p, what: str, lowest: float | None = None) -> None:
+    """Refuse, as DomainError naming ``what``, an exponent p that is not a
+    number above 1 (at least ``lowest`` when given) and at most
+    MAX_EXPONENT; NaN and None fail."""
+    if not (p is not None and (p > 1.0 if lowest is None else p >= lowest)
+            and p <= MAX_EXPONENT):
+        low = "1 < p" if lowest is None else f"{lowest:g} <= p"
+        raise DomainError(f"{what} needs {low} <= {MAX_EXPONENT:g}, got p={p!r}")
 
 
 class BlowUpError(GraphWaveError):

@@ -27,11 +27,12 @@ its new state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError, check_exponent
 from .mesh import (
     Discretization,
     Elimination,
@@ -168,12 +169,6 @@ def _n_steps(t_final: float, dt: float) -> int:
     return n
 
 
-def _check_exponent(p: float | None, linear_ok: bool) -> None:
-    """Refuse p unless finite and above 1 (None, the linear flow, where linear_ok)."""
-    if not (linear_ok if p is None else 1.0 < p < math.inf):
-        raise DomainError(f"nonlinearity exponent p must be finite and above 1, got p={p!r}")
-
-
 def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float,
                 n_steps: int, sample_every: int):
     """The time loop: yield the state at t=0, after every sample_every-th
@@ -200,9 +195,10 @@ def evolve(
 ) -> tuple[GraphFunction, EvolutionTrace]:
     """Integrate to t_final, sampling (t, mass, energy, sup) along the way.
 
-    t_final must be a whole number of steps dt, and p finite and above 1 or
-    None (DomainError otherwise)."""
-    _check_exponent(p, linear_ok=True)
+    t_final must be a whole number of steps dt, and p in (1, MAX_EXPONENT]
+    or None (DomainError otherwise)."""
+    if p is not None:
+        check_exponent(p, "evolve")
     trace = EvolutionTrace([], [], [], [])
     for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
         trace.times.append(state.t)
@@ -255,10 +251,13 @@ def stability_experiment(
     "multiplicative-noise" multiplies by 1 + delta * (seeded complex noise).
     The perturbed state is rescaled back to the reference mass, so the
     comparison stays on the same sphere.  As in ``evolve``, t_final must be
-    a whole number of steps dt; p must be finite and above 1.  The trace
-    samples every max(1, n_steps // n_samples) steps, n_samples >= 1.
+    a whole number of steps dt; p must lie in (1, MAX_EXPONENT] and seed be
+    a non-negative integer.  The trace samples every
+    max(1, n_steps // n_samples) steps, n_samples >= 1.
     """
-    _check_exponent(p, linear_ok=False)
+    check_exponent(p, "the stability experiment")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"noise seed must be a non-negative integer, got seed={seed!r}")
     if not delta >= 0:
         raise DomainError("perturbation size must be nonnegative")
     if not n_samples >= 1:

@@ -273,16 +273,21 @@ class Elimination:
     ``factor`` factors a fresh one once and returns it, called as solve(b);
     the CN time loop refactors one per step and solves in place.
 
-    LAPACK ?gttrf factors T with partial pivoting, safe for indefinite and
-    complex shifts, and ?getrf the Schur complement S = A_VV + diag(s_V) -
-    B T^{-1} B^T.  refactor raises DomainError when a pivot of T or S is at
-    or below n eps max|diag|: the matrix is singular to working precision."""
+    A real shift first tries LAPACK ?pttrf, LDL^T without pivoting, which
+    succeeds exactly when T is positive definite (``definite``); otherwise,
+    and for a complex shift (T is then complex symmetric, not Hermitian),
+    ?gttrf factors T with partial pivoting.  ?getrf factors the Schur
+    complement S = A_VV + diag(s_V) - B T^{-1} B^T.  refactor raises
+    DomainError when a pivot of T or S is at or below n eps max|diag|: the
+    matrix is singular to working precision."""
 
     def __init__(self, d: Discretization, dtype):
         self.d, self.dtype = d, np.dtype(dtype)
         self.V, n = len(d.vertex_index), d.n_nodes
         self._gttrf, self._gttrs, self._getrf, self._getrs = _lapack(
             ("gttrf", "gttrs", "getrf", "getrs"), self.dtype)
+        self._pttrf, self._pttrs = (_lapack(("pttrf", "pttrs"), float) if self.dtype == float
+                                    else (None, None))
         self._off = d._off.astype(self.dtype, copy=False)   # read-only here
         self._dl, self._du = np.empty_like(self._off), np.empty_like(self._off)
         self._diag, self._abs = np.empty(n, self.dtype), np.empty(n)
@@ -298,14 +303,21 @@ class Elimination:
         ends, pos, coef = d._ends, d._pos, d._coef
         diag = np.add(d._diag, shift, out=self._diag)
         big = np.abs(diag, out=self._abs).max()
-        np.copyto(self._dl, self._off)
-        np.copyto(self._du, self._off)
-        dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
-                                               overwrite_d=1, overwrite_du=1)
+        self.definite = False
+        if self._pttrf is not None:   # on copies: a failed attempt leaves diag intact
+            dt, e, info = self._pttrf(diag[V:], self._off)
+            self.definite = info == 0
+            self._T, self._trs = (dt, e), self._pttrs
+        if not self.definite:
+            np.copyto(self._dl, self._off)
+            np.copyto(self._du, self._off)
+            dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
+                                                   overwrite_d=1, overwrite_du=1)
+            self._T, self._trs = (dl, dt, du, du2, ipiv), self._gttrs
         Z = self._Z
         Z.fill(0.0)
         Z[pos[:, :cols], np.arange(cols)] = coef[:, :cols]
-        Z = self._Z = self._gttrs(dl, dt, du, du2, ipiv, Z, overwrite_b=1)[0]
+        Z = self._Z = self._trs(*self._T, Z, overwrite_b=1)[0]
         S = np.diag(diag[:V])    # A's vertex block is diagonal
         np.add.at(S, (ends[:, :, None], ends[:, None, :cols]), -coef[:, :, None] * Z[pos])
         lu, piv, _ = self._getrf(S)
@@ -317,12 +329,12 @@ class Elimination:
         # loss, and one step of iterative refinement wins the digits back
         parts = Z.ravel(order="K").view(float)
         self.refine = bool(max(parts.max(), -parts.min()) > 10.0)
-        self._T, self._S, self._lu, self._piv = (dl, dt, du, du2, ipiv), S, lu, piv
+        self._S, self._lu, self._piv = S, lu, piv
         self.shift = shift
 
     def _eliminate(self, x: np.ndarray) -> np.ndarray:
         V, d = self.V, self.d
-        y = self._gttrs(*self._T, x[V:], overwrite_b=1)[0]
+        y = self._trs(*self._T, x[V:], overwrite_b=1)[0]
         r = x[:V].copy()
         np.add.at(r, d._ends, -d._coef[:, :, None] * y[d._pos])
         x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
@@ -356,12 +368,15 @@ class Elimination:
 
     def n_negative(self) -> int:
         """For a real shift, the number of negative eigenvalues of
-        A + diag(shift), by Haynsworth: inertia = inertia(T) + inertia(S),
-        with a Sturm count of T (?gttrf's pivots do not give it: dstebz over
-        (-inf, 0]) and eigvalsh of S."""
-        V, d = self.V, self.d
-        (stebz,) = _lapack(("stebz",), float)
-        in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, 0.0, "E")[0]
+        A + diag(shift), by Haynsworth: inertia = inertia(T) + inertia(S).
+        T has none when ?pttrf factored it; otherwise a Sturm count gives
+        them (?gttrf's pivots do not: dstebz over (-inf, 0]).  S's come from
+        eigvalsh."""
+        V, d, in_t = self.V, self.d, 0
+        if not self.definite:
+            (stebz,) = _lapack(("stebz",), float)
+            in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, 0.0,
+                         "E")[0]
         return in_t + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
 
 

@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     FeasibilityError,
     GraphWaveError,
+    check_exponent,
 )
 from .mesh import (
     Discretization,
@@ -137,8 +138,8 @@ def minimize(
     and monitored against the ball.  Converges when the stationary residual
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
-    Raises DomainError (p not in [5, inf), c <= 0, r, tau or tol not in
-    (0, inf), max_iter not an integer >= 1; NaN fails every check),
+    Raises DomainError (p not in [5, errors.MAX_EXPONENT], c <= 0, r, tau or
+    tol not in (0, inf), max_iter not an integer >= 1; NaN fails every check),
     FeasibilityError (c > r/lambda0), BallExitError (iterate left B(r)), or
     ConvergenceError (iteration cap).
     """
@@ -193,8 +194,7 @@ def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float,
                     max_iter: int) -> None:
     """minimize's argument checks, which need no grid (tau None stands for
     the default, the grid step); NaN fails each.  Raises DomainError."""
-    if not 5 <= p < math.inf:
-        raise DomainError(f"local minimization is set up for finite p >= 5, got {p!r}")
+    check_exponent(p, "local minimization", lowest=5.0)
     if not c > 0:
         raise DomainError("mass c must be positive")
     if not 0 < r < math.inf:

@@ -5,8 +5,11 @@ second eigenvalue.
 Solves A psi = mu M psi (M = diagonal lumped mass) by shift-and-invert:
 factor (A - sigma M) with mesh.factor's O(n) edge/vertex elimination, so a
 factorization costs about as much as a few solves.  ground_state runs a
-power iteration that re-factors with sigma moved just below the current
-Rayleigh quotient; spectral_gap runs Lanczos on one fixed shift.
+power iteration that re-factors at a Rayleigh shift after each iterate:
+the current Rayleigh quotient less twice the residual bound, taken only
+where the factor's inertia proves A - sigma M positive definite, so sigma
+stays below the spectrum and closes in on its bottom within about ten
+iterations.  spectral_gap runs Lanczos on one fixed shift.
 """
 from __future__ import annotations
 
@@ -15,13 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .mesh import Discretization, GraphFunction, factor
+from .mesh import Discretization, Elimination, GraphFunction, factor
 
 __all__ = ["GroundStatePair", "ground_state", "spectral_gap", "spectral_gap_report"]
 
 # most power iterations ground_state takes, and most Lanczos steps spectral_gap takes
 _MAX_ITER = 20000
 _MAX_LANCZOS = 300
+# relative margin of ground_state's Rayleigh shifts below mu - 2 eta: far
+# above mu's round-off, and A - sigma M's pivots stay clear of the
+# singularity check at 96k nodes (iteration counts match from 1e-4 to 1e-10)
+_DELTA = 1e-6
 
 
 @dataclass
@@ -38,18 +45,25 @@ def _shift_invert_smallest(d, sigma, tol, floor):
     converging to the smallest eigenvalue when sigma is below the spectrum
     (the constant vector meets the positive ground state).
 
+    After each iterate w (M-normalized, Rayleigh quotient mu, residual
+    eta = ||M^{-1/2} (A w - mu M w)||) it proposes the shift
+    mu - 2 eta - _DELTA (|mu| + 1), which lies below the spectrum once the
+    eigenvalue within eta of mu is the smallest one.  Refactoring there
+    proves or refutes that (Sylvester): the shift is taken only when T's
+    LDL^T succeeds and S has no eigenvalue <= 0, so A - sigma M stays
+    positive definite and the iteration cannot pass the bottom of the
+    spectrum.  A refuted proposal keeps the current factor.
+
     Stops at residual <= tol once the sign of mu is certain: a Rayleigh
     quotient mu < 0 bounds the smallest eigenvalue from above, while mu >= 0
-    needs the eigenvalue within ||M^{-1/2} r|| of mu to be positive, or the
-    residual at the round-off floor.  Returns (mu, vector, iterations,
-    residual).
+    needs the eigenvalue within eta of mu to be positive, or the residual at
+    the round-off floor.  Returns (mu, vector, iterations, residual).
     """
     m = d.m
-    solve = factor(d, -sigma * m)
+    solve, trial = factor(d, -sigma * m), Elimination(d, float)
     v = np.ones(d.n_nodes)
     v /= np.sqrt((m * v) @ v)
     res = np.inf
-    refactors = 0
     for it in range(1, _MAX_ITER + 1):
         w = solve(m * v)
         w /= np.sqrt((m * w) @ w)
@@ -57,17 +71,19 @@ def _shift_invert_smallest(d, sigma, tol, floor):
         mu = (w @ Aw)
         rvec = Aw - mu * (m * w)
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
+        eta = np.sqrt(np.sum(rvec**2 / m))
         v = w
-        if res <= tol and (mu < 0 or res <= floor or np.sqrt(np.sum(rvec**2 / m)) < mu):
+        if res <= tol and (mu < 0 or res <= floor or eta < mu):
             return mu, v, it, res
-        # move the shift just below the Rayleigh quotient once the iterate
-        # clearly tracks the eigenpair nearest the current shift
-        if refactors < 6 and res <= 0.1 * abs(mu - sigma):
-            new_sigma = mu - (3.0 * res + 0.02 * (abs(mu) + 1.0))
-            if new_sigma > sigma + 0.05 * abs(mu - sigma):
-                sigma = new_sigma
-                solve = factor(d, -sigma * m)
-                refactors += 1
+        proposal = mu - 2.0 * eta - _DELTA * (abs(mu) + 1.0)
+        if proposal > sigma:
+            try:
+                trial.refactor(-proposal * m)
+                below = trial.definite and trial.n_negative() == 0
+            except DomainError:   # singular: not provably below the spectrum
+                below = False
+            if below:
+                solve, trial, sigma = trial, solve, proposal
     raise ConvergenceError(
         f"eigenvalue iteration did not reach tol={tol} in {_MAX_ITER} iterations",
         residual=res,

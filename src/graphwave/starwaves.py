@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_exponent
 
 if TYPE_CHECKING:   # mass-curve runs without the grid modules
     from .mesh import Discretization, GraphFunction
@@ -47,8 +48,9 @@ def profile_f(x, p: float, omega: float):
 
     Even in x, maximal at 0, decaying like exp(-sqrt(omega) |x|).
     """
-    if not (0 < omega < math.inf and 1 < p < math.inf):
-        raise DomainError("profile needs finite omega > 0 and p > 1")
+    check_exponent(p, "the profile")
+    if not 0 < omega < math.inf:
+        raise DomainError(f"profile needs finite omega > 0, got omega={omega!r}")
     x = np.asarray(x, dtype=float)
     k = 0.5 * (p - 1.0) * math.sqrt(omega)
     # overflow-safe sech via exp(-|z|)
@@ -77,8 +79,7 @@ class ClosedFormWave:
 
     def __post_init__(self):
         thr = self.threshold(self.n_edges, self.gamma, self.j)
-        if not 1 < self.p < math.inf:
-            raise DomainError(f"star wave needs finite p > 1, got p={self.p!r}")
+        check_exponent(self.p, "the star wave")
         if not thr < self.omega < math.inf:
             raise DomainError(f"omega={self.omega} not finite or below existence "
                               f"threshold {thr} for branch j={self.j}")
@@ -91,7 +92,8 @@ class ClosedFormWave:
     def threshold(n_edges: int, gamma: float, j: int = 0) -> float:
         """gamma^2 / (N - 2j)^2, below which branch j does not exist; refuses
         N < 2, j outside 0..(N-1)//2, gamma not finite and positive, and a
-        threshold that overflows or underflows to 0."""
+        threshold that overflows or underflows below the smallest normal
+        float (a subnormal one has too few digits to sample above it)."""
         if n_edges < 2:
             raise DomainError(f"star wave needs N >= 2, got N={n_edges}")
         if not 0 <= j <= (n_edges - 1) // 2:
@@ -102,9 +104,9 @@ class ClosedFormWave:
             thr = gamma**2 / (n_edges - 2 * j) ** 2
         except OverflowError:   # a square beyond the float range
             thr = math.inf
-        if not 0 < thr < math.inf:
+        if not sys.float_info.min <= thr < math.inf:
             raise DomainError(f"threshold gamma^2/(N-2j)^2 = {thr} for gamma={gamma!r} and "
-                              f"N={n_edges} is not a finite positive number")
+                              f"N={n_edges} is not a finite positive normal number")
         return thr
 
     def edge_values(self, k: int, x) -> np.ndarray:
@@ -159,8 +161,7 @@ def mass_curve(n_edges: int, gamma: float, p: float, omega: float) -> float:
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     if not omega > thr:
         raise DomainError(f"omega={omega} at or below the existence threshold {thr}")
-    if not 5 <= p < math.inf:
-        raise DomainError(f"the mass curve is used for finite p >= 5, got p={p!r}")
+    check_exponent(p, "the mass curve", lowest=5.0)
     pref = (2.0 * n_edges / (p - 1.0)) * (0.5 * (p + 1.0)) ** (2.0 / (p - 1.0))
     return (
         pref

@@ -580,10 +580,10 @@ OPTION_SWEEP_BASE = {
 
 def numeric_options():
     """(command, option) for every option the parser reads as a number or a
-    lo:hi:n range, except --seed, which only the noise mode reads."""
+    lo:hi:n range."""
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     return [(name, a.option_strings[0]) for name, sp in commands.items() for a in sp._actions
-            if a.type in (int, float, cli._range_triplet) and a.dest != "seed"]
+            if a.type in (int, float, cli._range_triplet)]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308"])
@@ -613,6 +613,35 @@ def test_every_numeric_option_ends_in_a_documented_exit(tmp_path, capsys, grid_c
         assert out == ""
     else:
         json.loads(out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("closed-form", ["--p", "1e308"], "p=1e+308"),
+    ("minimize", ["--p", "1e308"], "p=1e+308"),
+    ("sweep", ["--p", "1e308"], "p=1e+308"),
+    ("evolve", ["--p", "1e308"], "p=1e+308"),
+    ("stability", ["--p", "1e308"], "p=1e+308"),
+    ("stability", ["--mode", "multiplicative-noise", "--seed", "-1"], "seed=-1"),
+    ("mass-curve", ["--gamma", "1e-160"], "gamma=1e-160"),
+], ids=["closed-form-p-1e308", "minimize-p-1e308", "sweep-p-1e308", "evolve-p-1e308",
+        "stability-p-1e308", "stability-noise-seed-minus-1", "mass-curve-gamma-1e-160"])
+def test_meaningless_numbers_are_refused_naming_the_option(tmp_path, capsys, grid_command_inputs,
+                                                          command, extra, named):
+    # each number parses but means nothing: at p = 1e308 |u|^{p-1} underflows
+    # (a box profile, a linear "minimizer"), a negative seed seeds no
+    # generator, and gamma = 1e-160 gives a subnormal threshold
+    argv = list(OPTION_SWEEP_BASE[command])
+    for option, value in zip(extra[::2], extra[1::2]):
+        if option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+    names = {"GRAPH": grid_command_inputs / "star3.json",
+             "PROFILE": grid_command_inputs / "profile.csv"}
+    code, payload = run(capsys, [command, *(names.get(a, a) for a in argv),
+                                 "--out", tmp_path])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and named in payload["error"]
 
 
 PACKAGE_ONLY = ["graphwave", "graphwave.cli", "graphwave.errors"]
@@ -662,9 +691,12 @@ def test_factor_is_bit_identical_through_either_lapack_loader():
               "rng = np.random.default_rng(1)\n"
               "b = rng.standard_normal((d.n_nodes, 2))\n"
               "s = d.m * rng.uniform(-1.0, 1.0, d.n_nodes)\n"
-              "real = mesh.factor(d, s)\n"
+              "below = mesh.factor(d, s + 2.0 * d.m)   # A + M > 0: LDL^T\n"
+              "real = mesh.factor(d, s - 2.0 * d.m)    # T indefinite: ?gttrf\n"
               "cplx = mesh.factor(d, s - 2j * d.m)\n"
-              "out = [real(b), cplx(b + 1j * b[:, ::-1]), np.array(real.n_negative())]\n"
+              "assert below.definite and not real.definite\n"
+              "out = [below(b), real(b), cplx(b + 1j * b[:, ::-1]),\n"
+              "       np.array([below.n_negative(), real.n_negative()])]\n"
               "print(hashlib.sha256(b''.join(x.tobytes() for x in out)).hexdigest(),\n"
               "      'scipy.linalg' in sys.modules)\n")
     by_file, fallback = (python_with_graphwave(script, mode) for mode in ("file", "fallback"))

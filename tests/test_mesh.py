@@ -390,6 +390,10 @@ def test_factor_matches_dense_solve(d, seed):
         x = factor(d, s)(b)
         assert x.dtype == ref.dtype
         assert rel_err(x, ref) <= 1e-10
+    # the real shift lies below the spectrum: T is definite and LDL^T factors it
+    assert np.linalg.eigvalsh(dense + np.diag(s_real))[0] > 0.0
+    solve = factor(d, s_real)
+    assert solve.definite and solve.n_negative() == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,14 +434,19 @@ def test_build_numbers_each_edge_interior_contiguously(d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), n_negative=st.integers(1, 3))
-def test_factor_matches_dense_solve_indefinite(d, seed, n_negative):
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), n_negative=st.integers(1, 3),
+       pull=st.booleans())
+def test_factor_matches_dense_solve_indefinite(d, seed, n_negative, pull):
     # the Newton shape: a real shift with a few negative eigenvalues, kept at
-    # least 1e-3 max(m) from singular, and a two-column right-hand side
+    # least 1e-3 max(m) from singular, and a two-column right-hand side.
+    # With pull, one interior node sits far below the others, so the edge
+    # block T is indefinite and ?gttrf factors it; without, T may be either
     rng = np.random.default_rng(seed)
-    n = d.n_nodes
+    n, V = d.n_nodes, len(d.vertex_index)
     dense = d.A.toarray()
     s0 = d.m * rng.uniform(-5.0, 5.0, n)
+    if pull:
+        s0[V + rng.integers(n - V)] -= 10.0 * np.max(np.abs(np.diag(dense)))
     scale = np.sqrt(np.outer(d.m, d.m))
     mu = np.linalg.eigvalsh((dense + np.diag(s0)) / scale)
     s = s0 - 0.5 * (mu[n_negative - 1] + mu[n_negative]) * d.m
@@ -445,11 +454,16 @@ def test_factor_matches_dense_solve_indefinite(d, seed, n_negative):
     assume(np.min(np.abs(eig)) >= 1e-3 * np.max(d.m))
     assert np.sum(eig < 0) == n_negative
     b = rng.standard_normal((n, 2))
-    x = factor(d, s)(b)
+    solve = factor(d, s)
+    x = solve(b)
     ref = np.linalg.solve(dense + np.diag(s), b)
     assert x.shape == (n, 2) and x.dtype == np.float64
     for j in range(2):
         assert rel_err(x[:, j], ref[:, j]) <= 1e-10
+    # LDL^T exactly when T is positive definite, and the same count either way
+    t_definite = np.linalg.eigvalsh(dense[V:, V:] + np.diag(s[V:]))[0] > 0.0
+    assert solve.definite == t_definite and not (pull and t_definite)
+    assert solve.n_negative() == n_negative
 
 
 def test_factor_near_a_dirichlet_eigenvalue_of_an_edge():

@@ -26,6 +26,13 @@ def test_star3_ground_state(ground_h01):
     assert float(np.min(ground_h01.psi0.values.real)) > 0.0
 
 
+def test_star3_ground_state_takes_few_iterations(disc_h02, ground_h02):
+    # the certified Rayleigh shifts close in on -lambda0 within about ten
+    # iterations
+    assert disc_h02.n_nodes == 5998
+    assert ground_h02.iterations <= 12
+
+
 def test_line_with_delta_strength_two():
     # two half-lines with a strength-2 vertex: lambda0 = (gamma/N)^2 = 1
     g = make_star(StarGraphSpec(2, 2.0, 25.0))
@@ -157,4 +164,6 @@ def test_gap_of_a_triple_second_eigenvalue_matches_dense_eigh():
 def test_spectral_gap_matches_dense_eigh(d):
     mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 1])
     pair = ground_state(d)
+    # a Rayleigh shift past the bottom of the spectrum would converge elsewhere
+    assert pair.lambda0 == pytest.approx(-mu[0], rel=1e-9)
     assert spectral_gap(pair)[0] == pytest.approx(mu[1] - mu[0], abs=1e-7)
