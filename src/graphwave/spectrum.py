@@ -58,6 +58,8 @@ def _shift_invert_smallest(d, sigma, tol, floor):
     quotient mu < 0 bounds the smallest eigenvalue from above, while mu >= 0
     needs the eigenvalue within eta of mu to be positive, or the residual at
     the round-off floor.  Returns (mu, vector, iterations, residual).
+    An iterate whose M-norm is 0 or not finite (squares of a grid step
+    such as 1e-100 underflow) raises DomainError naming the grid step.
     """
     m = d.m
     solve, trial = factor(d, -sigma * m), Elimination(d, float)
@@ -66,7 +68,12 @@ def _shift_invert_smallest(d, sigma, tol, floor):
     res = np.inf
     for it in range(1, _MAX_ITER + 1):
         w = solve(m * v)
-        w /= np.sqrt((m * w) @ w)
+        norm = np.sqrt((m * w) @ w)
+        if not 0 < norm < np.inf:
+            raise DomainError(
+                f"the eigen-iterate's M-norm is {norm} at iteration {it}: float "
+                f"arithmetic cannot resolve the grid step h={d.h_max:g}")
+        w /= norm
         Aw = d.apply(w)
         mu = (w @ Aw)
         rvec = Aw - mu * (m * w)

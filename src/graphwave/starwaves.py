@@ -14,8 +14,10 @@ sum of outward derivatives = -gamma u(v) forces:
 outward (bump at distance s_j), the rest pushed in (monotone tail).
 The squared L2 mass of the j = 0 branch as a function of omega is available
 in closed form up to a one-dimensional integral (h_integral, a fixed
-Gauss-Legendre rule, so this module loads no scipy); it is the curve used
-to match a target mass to a frequency.
+Gauss-Legendre rule).  solve_omega_for_mass inverts it, matching a target
+mass to a frequency, by Illinois regula falsi to a bracket of
+1e-14 + 1e-12 omega, and monotone_window finds its maximum by golden-section
+search to 1.5e-8 relative, so this module loads no scipy.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, check_exponent
+from .errors import ConvergenceError, DomainError, check_exponent
 
 if TYPE_CHECKING:   # mass-curve runs without the grid modules
     from .mesh import Discretization, GraphFunction
@@ -170,23 +172,36 @@ def mass_curve(n_edges: int, gamma: float, p: float, omega: float) -> float:
     )
 
 
+# the root search stops where scipy's brentq does at xtol=1e-14, rtol=1e-12,
+# and gives up after _MAX_ROOT_STEPS secant steps (6 to 8 are taken)
+_XTOL, _RTOL, _MAX_ROOT_STEPS = 1e-14, 1e-12, 100
+# golden-section search for the mass curve's maximum: stop at a bracket of
+# sqrt(eps) relative width, below which the curve is flat to round-off
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_ARGMAX_XTOL = 1.5e-8
+
+
 def solve_omega_for_mass(
     n_edges: int, gamma: float, p: float, c: float, bracket: tuple[float, float]
 ) -> float:
     """Invert the mass curve: the omega in ``bracket`` with mass c.
 
-    The bracket must lie in the increasing part of the curve (checked by
-    sampling) and straddle c.  Root resolved to relative tolerance 1e-10.
+    The bracket must lie in the increasing part of the curve, checked on 24
+    geometric samples, and straddle c.  The root is searched in the one
+    sample cell that holds c by regula falsi with the Illinois rule (Dowell
+    & Jarratt, BIT 11, 1971), which keeps the root bracketed and halves the
+    weight of an end's value each time that end is kept again.  It stops
+    once the bracket is narrower than 1e-14 + 1e-12 omega, as scipy's brentq
+    does at xtol=1e-14, rtol=1e-12, and returns the secant point of that
+    bracket's ends; after 100 steps it raises ConvergenceError, never
+    returning an unconverged root.
     """
-    from scipy.optimize import brentq  # imported here: slow to load, rarely needed
-
     lo, hi = bracket
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     if not thr < lo < hi:
         raise DomainError("bracket must satisfy threshold < lo < hi")
-    samples = np.array(
-        [mass_curve(n_edges, gamma, p, w) for w in np.geomspace(lo, hi, 24)]
-    )
+    grid = np.geomspace(lo, hi, 24)
+    samples = np.array([mass_curve(n_edges, gamma, p, w) for w in grid])
     if np.any(np.diff(samples) <= 0):
         raise DomainError(
             "mass curve is not increasing on the bracket: outside the monotone window"
@@ -196,30 +211,54 @@ def solve_omega_for_mass(
             f"bracket does not straddle the target mass: R({lo})={samples[0]:.6g}, "
             f"R({hi})={samples[-1]:.6g}, c={c:.6g}"
         )
-    return float(
-        brentq(
-            lambda w: mass_curve(n_edges, gamma, p, w) - c,
-            lo,
-            hi,
-            xtol=1e-14,
-            rtol=1e-12,
-        )
-    )
+    i = int(np.searchsorted(samples, c)) - 1   # samples[i] < c <= samples[i + 1]
+    a, b = float(grid[i]), float(grid[i + 1])
+    fa, fb = samples[i] - c, samples[i + 1] - c
+    wa = 1.0   # Illinois weight on fa, halved each time a is kept again
+    for _ in range(_MAX_ROOT_STEPS):
+        x = b - fb * (b - a) / (fb - wa * fa)
+        fx = mass_curve(n_edges, gamma, p, x) - c
+        if (fx < 0) == (fb < 0):   # x falls on b's side: a is kept
+            wa *= 0.5
+        else:
+            a, fa, wa = b, fb, 1.0
+        b, fb = x, fx
+        if fx == 0 or abs(b - a) < _XTOL + _RTOL * abs(b):
+            return float(b - fb * (b - a) / (fb - fa))   # unweighted secant, inside [a, b]
+    raise ConvergenceError(
+        f"mass-to-frequency search did not bracket the root of c={c!r} to "
+        f"{_RTOL:g} relative in {_MAX_ROOT_STEPS} steps", residual=abs(fb))
 
 
 def monotone_window(n_edges: int, gamma: float, p: float) -> tuple[float, float]:
-    """Empirical window (threshold, omega_hi) on which the mass curve
-    increases: sample 80 log-spaced points from just above the threshold to
-    400 times it and take the largest prefix with positive successive
-    differences."""
+    """Window (threshold, omega_hi) on which the mass curve increases.
+
+    Samples 80 log-spaced points from just above the threshold to 400 times
+    it.  When the samples never decrease, omega_hi is the last one.
+    Otherwise the first decrease brackets the curve's maximum between the
+    samples either side of the peak sample, and a golden-section search on
+    mass_curve narrows that bracket to 1.5e-8 relative width; omega_hi is
+    its best point.  The curve is flat to round-off over about 1e-7 of
+    omega around its maximum, which bounds how well omega_hi is defined.
+    """
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     grid = np.geomspace(thr * (1.0 + 1e-3), 400.0 * thr, 80)
     vals = np.array([mass_curve(n_edges, gamma, p, w) for w in grid])
-    hi = grid[-1]
-    for i in range(len(grid) - 1):
-        if vals[i + 1] <= vals[i]:
-            hi = grid[i]
-            break
-    if hi <= grid[0]:
+    falls = np.flatnonzero(np.diff(vals) <= 0)
+    if not len(falls):
+        return float(thr), float(grid[-1])
+    if falls[0] == 0:
         raise DomainError("no increasing prefix found: window detection failed")
-    return float(thr), float(hi)
+    a, b = float(grid[falls[0] - 1]), float(grid[falls[0] + 1])
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = (mass_curve(n_edges, gamma, p, x) for x in (x1, x2))
+    while b - a > _ARGMAX_XTOL * b:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = mass_curve(n_edges, gamma, p, x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = mass_curve(n_edges, gamma, p, x1)
+    return float(thr), x1 if f1 >= f2 else x2

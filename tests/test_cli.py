@@ -237,6 +237,14 @@ def test_time_grid_error_exit_code(tmp_path, capsys, star_file):
     assert payload["error_type"] == "DomainError"
 
 
+def test_spectrum_refuses_a_grid_step_floats_cannot_resolve(tmp_path, capsys):
+    graph = tmp_path / "tiny.json"
+    graph.write_text(serialize_graph(make_star(StarGraphSpec(3, 1.0, 1e-100))))
+    code, payload = run(capsys, ["spectrum", graph, "--h", "1.25e-101", "--out", tmp_path / "sp"])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and "h=1.25e-101" in payload["error"]
+
+
 def test_missing_input_files_are_configuration_errors(tmp_path, capsys, star_file):
     missing = tmp_path / "missing.json"
     code = dispatch(["spectrum", str(missing), "--out", str(tmp_path / "sp")])
@@ -445,12 +453,23 @@ def python_with_graphwave(code, *args):
 def test_cli_import_does_not_load_quadrature_or_root_finding():
     # scipy costs start-up time for every command: the sparse and linear
     # algebra modules are imported where a grid is built or factored, and
-    # only solve_omega_for_mass needs scipy.optimize
+    # no command needs scipy's quadrature or root finding
     code = ("import sys, graphwave.cli; print([m for m in ('scipy.integrate', "
             "'scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules])")
     out = python_with_graphwave(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_mass_to_frequency_loads_no_scipy():
+    code = ("import sys, graphwave\n"
+            "omega = graphwave.solve_omega_for_mass(3, 1.0, 6.0, 2.0, (0.12, 1.2))\n"
+            "print(omega, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = python_with_graphwave(code)
+    assert out.returncode == 0, out.stderr
+    omega, modules = out.stdout.split(" ", 1)
+    assert 0.12 < float(omega) < 1.2
+    assert modules.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, code", [

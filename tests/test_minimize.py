@@ -308,7 +308,7 @@ def test_flow_is_factored_only_when_it_steps(monkeypatch, disc_h02, ground_h02):
 
 def test_newton_keeps_the_ball_exit(disc_h02, ground_h02):
     # at 0.8 omega_hi the loose flow is still inside B(1), and Newton from it
-    # would land on a stationary point with ||u||_G^2 = 1.105; the flow,
+    # would land on a stationary point with ||u||_G^2 = 1.146; the flow,
     # which decides the outcome, leaves the ball
     omega_hi = monotone_window(3, 1.0, 6.0)[1]
     c = mass_curve(3, 1.0, 6.0, 0.8 * omega_hi)

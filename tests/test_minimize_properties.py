@@ -1,17 +1,18 @@
 """Property tests of minimize on random small graphs with potentials: the
 Newton polish changes the cost of a solve, not its outcome (except that it
-may finish a flow that stalls short of the tolerance), and the minimizer
-is gauge equivariant."""
+may finish a flow that stalls short of the tolerance), the minimizer is
+gauge equivariant, and the time stepper carries it along its phase orbit."""
 import cmath
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphwave import minimizers
+from graphwave.evolution import evolve, orbit_distance
 from graphwave.errors import BallExitError, ConvergenceError, GraphWaveError
 from graphwave.graphs import Edge, MetricGraph, SquareWell, Vertex, ZeroPotential
 from graphwave.mesh import GraphFunction, build, h1_norm_sq
@@ -117,3 +118,30 @@ def test_minimize_gauge_equivariance(problem, theta):
     assert h1_rel(rotated.phi, expected) <= 1e-9
     assert abs(rotated.omega - base.omega) <= 1e-12
     np.testing.assert_allclose(rotated.energy, base.energy, rtol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(problem=bound_state_problems())
+def test_minimizer_is_a_fixed_orbit_of_the_time_stepper(problem):
+    # a CN step maps an exact stationary state u (A u + omega M u =
+    # M |u|^{p-1} u) to a phase rotation of itself.  The minimizer's residual
+    # q = M^{-1}(A u - M |u|^{p-1} u) + omega u, ||q||_M = residual sqrt(c),
+    # makes each step miss that rotation by (1 + rho)/2 L^{-1} M q with
+    # |rho| = 1, and ||(i M/dt - H/2)^{-1} M||_M <= dt for symmetric H, so
+    # by at most dt ||q||_M; round-off adds eps (1 + dt max|M^{-1} A|) sqrt(c)
+    # per step.  kappa = sqrt(1 + max 2 K_ii/m_i) bounds the H1 norm by the
+    # M-norm (Gershgorin on M^{-1} K), and the factor 2 allows earlier
+    # misses to grow under the linearized flow over this short T.
+    d, p, fraction = problem
+    ground = ground_state(d)
+    c = fraction / ground.lambda0
+    res = outcome(d, p, c, ground)
+    assume(not isinstance(res, type))
+    dt, t_final = 0.02, 1.0
+    u_t, _ = evolve(d, p, res.phi, dt, t_final, sample_every=50)
+    kappa = math.sqrt(1.0 + float(np.max(2.0 * d.K.diagonal() / d.m)))
+    a_max = float(np.max(abs(d.A).sum(axis=1).A1 / d.m))
+    per_step = (dt * res.gradient_residual
+                + np.finfo(float).eps * (1.0 + dt * a_max)) * math.sqrt(c)
+    bound = 2.0 * kappa * round(t_final / dt) * per_step
+    assert orbit_distance(u_t, res.phi)[0] <= bound

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_repulsive_vertex_has_no_bound_state():
     ).validate()
     with pytest.raises(AssumptionError, match="no negative ground energy"):
         ground_state(mesh.build(g, 0.02))
+
+
+def test_grid_step_below_float_resolution_is_refused_at_once():
+    # at h = 1.25e-101 the first iterate's entries are near 1e-151, its
+    # M-norm underflows to 0, and every later iterate would be NaN
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 1e-100)), 1e-100 / 8)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="h=1.25e-101"):
+        ground_state(d)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])

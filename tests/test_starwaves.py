@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -129,6 +130,56 @@ def test_solve_omega_roundtrip_and_small_mass_limit():
     # bracket spanning the p=6 peak is rejected as non-monotone
     with pytest.raises(DomainError, match="monotone"):
         solve_omega_for_mass(3, 1.0, 6.0, 2.0, (0.5, 30.0))
+
+
+def brentq_root(n_edges, p, c, bracket):
+    """The reference root: scipy's brentq at the tolerances the search stops at."""
+    return brentq(lambda w: mass_curve(n_edges, 1.0, p, w) - c, *bracket,
+                  xtol=1e-14, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_edges", [3, 4, 5])
+@pytest.mark.parametrize("p", [5.0, 6.0, 7.0, 10.0])
+def test_solve_omega_matches_brentq(n_edges, p):
+    thr, hi = monotone_window(n_edges, 1.0, p)
+    # a bracket that ends just below the fold (at p = 5, the window's end)
+    bracket = (1.01 * thr, (1.0 - 1e-4) * hi)
+    for omega in np.geomspace(1.02 * thr, 0.97 * hi, 9):
+        c = mass_curve(n_edges, 1.0, p, float(omega))
+        root = solve_omega_for_mass(n_edges, 1.0, p, c, bracket)
+        assert root == pytest.approx(brentq_root(n_edges, p, c, bracket), rel=1e-12)
+        assert mass_curve(n_edges, 1.0, p, root) == pytest.approx(c, rel=1e-12)
+    # near the threshold the mass is so steep in omega that a root good to
+    # xtol + rtol omega reproduces c only to the mass the curve gains over
+    # that distance
+    bracket = (thr * (1.0 + 1e-7), 1.2 * thr)
+    c = math.sqrt(mass_curve(n_edges, 1.0, p, bracket[0]) * mass_curve(n_edges, 1.0, p, bracket[1]))
+    root = solve_omega_for_mass(n_edges, 1.0, p, c, bracket)
+    assert root == pytest.approx(brentq_root(n_edges, p, c, bracket), rel=1e-12)
+    tol = 1e-14 + 1e-12 * root
+    assert mass_curve(n_edges, 1.0, p, root - tol) <= c <= mass_curve(n_edges, 1.0, p, root + tol)
+
+
+@pytest.mark.parametrize("c, bracket, match", [
+    (2.0, (1.2, 0.5), "threshold < lo < hi"),
+    (2.0, (math.nan, 1.2), "threshold < lo < hi"),
+    (math.nan, (0.5, 1.2), "straddle"),
+])
+def test_solve_omega_refuses_reversed_and_nan_inputs(c, bracket, match):
+    with pytest.raises(DomainError, match=match):
+        solve_omega_for_mass(3, 1.0, 6.0, c, bracket)
+
+
+@pytest.mark.parametrize("p, argmax", [(6.0, 1.30036), (7.0, 0.52434), (8.0, 0.34582),
+                                       (10.0, 0.23202)])
+def test_monotone_window_ends_at_the_mass_maximum(p, argmax):
+    # the mass curve's maximum, where dc/domega changes sign, ends the
+    # window of stable frequencies
+    thr, hi = monotone_window(3, 1.0, p)
+    assert hi == pytest.approx(argmax, abs=5e-6)
+    peak = mass_curve(3, 1.0, p, hi)
+    assert peak >= mass_curve(3, 1.0, p, hi * (1.0 - 1e-5))
+    assert peak >= mass_curve(3, 1.0, p, hi * (1.0 + 1e-5))
 
 
 def test_monotone_window_shapes():
