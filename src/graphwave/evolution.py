@@ -40,7 +40,7 @@ from .mesh import (
     h1_inner,
     h1_norm_sq,
     mass,
-    quadratic_form,
+    rescale_to_mass,
 )
 from .minimizers import energy
 
@@ -73,29 +73,21 @@ class EvolutionState:
             raise DomainError("dt must be nonzero")
 
 
-def initial_state(u0: GraphFunction, dt: float, p: float | None) -> EvolutionState:
+def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
     """Seed the relaxation field with |u0|^{p-1}, so the first step
     degenerates to a midpoint linearization."""
-    return EvolutionState(
-        t=0.0,
-        u=u0.copy(),
-        gamma_relax=np.zeros(u0.values.shape) if p is None else np.abs(u0.values) ** (p - 1.0),
-        dt=dt,
-    )
+    return EvolutionState(t=0.0, u=u0.copy(), gamma_relax=np.abs(u0.values) ** (p - 1.0), dt=dt)
 
 
 class _Workspace:
     """One trajectory's storage: the CN factor, refactored in place at every
     step, and the step's buffers."""
 
-    def __init__(self, d: Discretization, dt: float, p: float | None):
+    def __init__(self, d: Discretization, dt: float):
         self.elim = Elimination(d, np.complex128)
         self.neg_m, self.scale = -d.m, -4j * d.m / dt
-        # the factored shift -m (gam + 2i/dt) keeps its imaginary part;
-        # without the nonlinearity (gam = 0) it never changes: factor it once
+        # the factored shift -m (gam + 2i/dt) keeps its imaginary part
         self.shift = -2j * d.m / dt
-        if p is None:
-            self.elim.refactor(self.shift)
         # |u| of the last state step returned (its sup pass writes it), which
         # the next step from that state reuses for |u|^{p-1}
         self.abs, self.abs_of = np.empty(d.n_nodes), None
@@ -104,27 +96,25 @@ class _Workspace:
 def step(
     state: EvolutionState,
     d: Discretization,
-    p: float | None,
+    p: float,
     sup_guard: float | None = None,
     _work: _Workspace | None = None,
 ) -> EvolutionState:
-    """One relaxation Crank-Nicolson step; p=None integrates the linear flow
-    (_trajectory passes its one workspace as _work)."""
+    """One relaxation Crank-Nicolson step (_trajectory passes its one
+    workspace as _work).  The linear flow is the step at vanishing
+    amplitude: |u|^{p-1} then falls below every diagonal entry's last digit."""
     u, dt = state.u.values, state.dt
-    work = _Workspace(d, dt, p) if _work is None else _work
+    work = _Workspace(d, dt) if _work is None else _work
     u_next, gam = np.empty(u.size, np.complex128), np.empty(u.size)
-    if p is None:
-        gam.fill(0.0)
+    if work.abs_of is u:
+        np.copyto(gam, work.abs)
     else:
-        if work.abs_of is u:
-            np.copyto(gam, work.abs)
-        else:
-            np.abs(u, out=gam)
-        gam **= p - 1.0
-        gam *= 2.0
-        gam -= state.gamma_relax
-        np.multiply(work.neg_m, gam, out=work.shift.real)
-        work.elim.refactor(work.shift)
+        np.abs(u, out=gam)
+    gam **= p - 1.0
+    gam *= 2.0
+    gam -= state.gamma_relax
+    np.multiply(work.neg_m, gam, out=work.shift.real)
+    work.elim.refactor(work.shift)
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the factor is of -2L
     np.multiply(work.scale, u, out=u_next)
@@ -169,7 +159,7 @@ def _n_steps(t_final: float, dt: float) -> int:
     return n
 
 
-def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float,
+def _trajectory(d: Discretization, p: float, u0: GraphFunction, dt: float,
                 n_steps: int, sample_every: int):
     """The time loop: yield the state at t=0, after every sample_every-th
     step and after the last step, stopping at the overflow guard."""
@@ -177,7 +167,7 @@ def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float
         raise DomainError("sample_every must be a positive integer")
     state = initial_state(u0, dt, p)
     guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
-    work = _Workspace(d, dt, p)
+    work = _Workspace(d, dt)
     yield state
     for k in range(1, n_steps + 1):
         state = step(state, d, p, sup_guard=guard, _work=work)
@@ -187,7 +177,7 @@ def _trajectory(d: Discretization, p: float | None, u0: GraphFunction, dt: float
 
 def evolve(
     d: Discretization,
-    p: float | None,
+    p: float,
     u0: GraphFunction,
     dt: float,
     t_final: float,
@@ -196,16 +186,13 @@ def evolve(
     """Integrate to t_final, sampling (t, mass, energy, sup) along the way.
 
     t_final must be a whole number of steps dt, and p in (1, MAX_EXPONENT]
-    or None (DomainError otherwise)."""
-    if p is not None:
-        check_exponent(p, "evolve")
+    (DomainError otherwise)."""
+    check_exponent(p, "evolve")
     trace = EvolutionTrace([], [], [], [])
     for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
         trace.times.append(state.t)
         trace.mass.append(mass(state.u))
-        # p=None is the linear flow, whose energy is the quadratic part alone
-        trace.energy.append(0.5 * quadratic_form(state.u) if p is None
-                            else energy(state.u, p).total)
+        trace.energy.append(energy(state.u, p).total)
         trace.sup.append(float(np.max(np.abs(state.u.values))))
     return state.u, trace
 
@@ -250,34 +237,38 @@ def stability_experiment(
     H1-normalized bump (typically the linear ground state);
     "multiplicative-noise" multiplies by 1 + delta * (seeded complex noise).
     The perturbed state is rescaled back to the reference mass, so the
-    comparison stays on the same sphere.  As in ``evolve``, t_final must be
-    a whole number of steps dt; p must lie in (1, MAX_EXPONENT] and seed be
-    a non-negative integer.  The trace samples every
-    max(1, n_steps // n_samples) steps, n_samples >= 1.
+    comparison stays on the same sphere; delta must be finite, and the
+    perturbed state's mass finite and nonzero.  As in ``evolve``, t_final
+    must be a whole number of steps dt; p must lie in (1, MAX_EXPONENT] and
+    seed be a non-negative integer (DomainError otherwise).  The trace
+    samples every max(1, n_steps // n_samples) steps, n_samples >= 1.
     """
     check_exponent(p, "the stability experiment")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"noise seed must be a non-negative integer, got seed={seed!r}")
-    if not delta >= 0:
-        raise DomainError("perturbation size must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"perturbation size must be nonnegative and finite, got delta={delta!r}")
     if not n_samples >= 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples!r}")
     c = mass(phi_ref)
+    # a delta too large for the arithmetic below gives a non-finite start,
+    # which rescale_to_mass refuses naming delta
     if mode == "eigenfunction-bump":
         if delta > 0 and bump is None:
             raise DomainError("eigenfunction-bump mode needs a bump profile")
         u0_vals = phi_ref.values.astype(np.complex128)
         if delta > 0:
             bump_vals = bump.values / math.sqrt(h1_norm_sq(bump))
-            u0_vals = u0_vals + delta * math.sqrt(h1_norm_sq(phi_ref)) * bump_vals
+            with np.errstate(over="ignore", invalid="ignore"):
+                u0_vals = u0_vals + delta * math.sqrt(h1_norm_sq(phi_ref)) * bump_vals
     elif mode == "multiplicative-noise":
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(d.n_nodes) + 1j * rng.standard_normal(d.n_nodes)
-        u0_vals = phi_ref.values * (1.0 + delta * noise / math.sqrt(2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0_vals = phi_ref.values * (1.0 + delta * noise / math.sqrt(2.0))
     else:
         raise DomainError(f"unknown perturbation mode {mode!r}")
-    u0 = GraphFunction(d, u0_vals)
-    u0.values *= math.sqrt(c / mass(u0))
+    u0 = rescale_to_mass(GraphFunction(d, u0_vals), c, f"the start perturbed by delta={delta!r}")
 
     n_steps = _n_steps(t_final, dt)
     e0 = energy(u0, p).total

@@ -38,6 +38,7 @@ __all__ = [
     "check_grid",
     "factor",
     "mass",
+    "rescale_to_mass",
     "quadratic_form",
     "g_norm_sq",
     "lp_norm",
@@ -400,6 +401,20 @@ def factor(d: Discretization, shift: np.ndarray) -> Elimination:
 def mass(u: GraphFunction) -> float:
     """Squared L2 norm: sum_i m_i |u_i|^2."""
     return float(np.sum(u.disc.m * np.abs(u.values) ** 2))
+
+
+def rescale_to_mass(u: GraphFunction, c: float, what: str) -> GraphFunction:
+    """Scale u in place by sqrt(c / mass(u)) and return it; DomainError naming
+    ``what`` unless the mass is finite and nonzero and c / mass finite (a
+    start whose squares overflow would be scaled to zero, or to NaN)."""
+    with np.errstate(over="ignore"):   # an overflowing square is refused below
+        nrm2 = mass(u)
+    ratio = c / nrm2 if 0.0 < nrm2 < math.inf else math.nan
+    if not ratio < math.inf:
+        raise DomainError(f"{what} has mass {nrm2:.6g}, which cannot be rescaled to mass "
+                          f"c={c:.6g}: it must be finite and nonzero")
+    u.values *= math.sqrt(ratio)
+    return u
 
 
 def quadratic_form(u: GraphFunction) -> float:

@@ -50,6 +50,7 @@ from .mesh import (
     lp_norm,
     mass,
     quadratic_form,
+    rescale_to_mass,
 )
 from .spectrum import GroundStatePair, ground_state
 
@@ -114,8 +115,6 @@ class MinimizerResult:
     lambda0: float
     psi0: GraphFunction
     diagnostics: dict = field(default_factory=dict)
-    energy_history: list = field(default_factory=list)
-    max_mass_drift: float = 0.0   # worst |mass - c|/c over all iterates
     newton_steps: int = 0         # accepted Newton steps that finished the solve
 
 
@@ -139,7 +138,8 @@ def minimize(
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
     Raises DomainError (p not in [5, errors.MAX_EXPONENT], c <= 0, r, tau or
-    tol not in (0, inf), max_iter not an integer >= 1; NaN fails every check),
+    tol not in (0, inf), max_iter not an integer >= 1, a start that
+    mesh.rescale_to_mass cannot scale to mass c; NaN fails every check),
     FeasibilityError (c > r/lambda0), BallExitError (iterate left B(r)), or
     ConvergenceError (iteration cap).
     """
@@ -155,17 +155,12 @@ def minimize(
             f"mass c={c:.6g} exceeds the feasibility bound r/lambda0={c_max:.6g}: "
             "the sphere does not meet the ball"
         )
-    if init is None:
-        u = ground.psi0.values.astype(np.complex128) * math.sqrt(c)
-    else:
-        u = init.values.astype(np.complex128).copy()
-        if mass(GraphFunction(d, u)) == 0.0:
-            raise DomainError("init function must be nonzero")
-    u *= math.sqrt(c / float(np.sum(d.m * np.abs(u) ** 2)))
+    # no name outlives the start: an array kept through the descent grows its peak memory
+    u = (ground.psi0.values * math.sqrt(c) if init is None else init.values).astype(np.complex128)
+    u = rescale_to_mass(GraphFunction(d, u), c,
+                        "the default start" if init is None else "init").values
     try:
-        u, it, s, energy_history, max_mass_drift, newton_steps = _descend(
-            d, p, c, r, tau, tol, max_iter, lam0, u
-        )
+        u, it, s, newton_steps = _descend(d, p, c, r, tau, tol, max_iter, lam0, u)
     except GraphWaveError as exc:
         # the traceback would hold _descend's frame, and with it the
         # factorization and the iterates, for as long as the error is kept
@@ -182,8 +177,6 @@ def minimize(
         gradient_residual=s.residual,
         lambda0=lam0,
         psi0=ground.psi0,
-        energy_history=energy_history,
-        max_mass_drift=max_mass_drift,
         newton_steps=newton_steps,
     )
     result.diagnostics = structure_diagnostics(result)
@@ -215,7 +208,6 @@ class _Iterate(NamedTuple):
     energy: float
     g_sq: float             # ||u||_G^2 = form[u] + 2 lambda0 c
     residual: float         # ||rvec||_{L2} / sqrt(c)
-    mass_drift: float       # |mass(u) - c| / c
 
 
 def _measure(d, p, c, lam0, u) -> _Iterate:
@@ -234,7 +226,6 @@ def _measure(d, p, c, lam0, u) -> _Iterate:
         energy=0.5 * form - power / (p + 1.0),
         g_sq=form + 2.0 * lam0 * c,
         residual=math.sqrt(float(np.sum(m * np.abs(rvec) ** 2)) / c),
-        mass_drift=abs(float(np.sum(m * abs_u**2)) - c) / c,
     )
 
 
@@ -243,20 +234,16 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
     residual first drops below a new power of ten.  Only the flow raises:
     the ball exit and the iteration cap are decided by its iterates.
 
-    Returns (u, flow iterations, the _Iterate measured at u, energy
-    history, worst mass drift, accepted Newton steps)."""
+    Returns (u, flow iterations, the _Iterate measured at u, accepted
+    Newton steps)."""
     m = d.m
     solve = None
     res_history: list[float] = []
-    energy_history: list[float] = []
-    max_mass_drift = 0.0
     residual = math.inf
     next_polish = 0.1
     for it in range(1, max_iter + 1):
         s = _measure(d, p, c, lam0, u)
         residual = s.residual
-        energy_history.append(s.energy)
-        max_mass_drift = max(max_mass_drift, s.mass_drift)
         if s.g_sq > r:
             raise BallExitError(
                 f"iterate {it} left the energy ball: ||u||_G^2 = {s.g_sq:.6g} > r = {r:.6g} "
@@ -271,16 +258,14 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
                 f"flow diverged at iteration {it}", residual=residual, history=res_history
             )
         if residual <= tol:
-            return u, it, s, energy_history, max_mass_drift, 0
+            return u, it, s, 0
         if residual < next_polish:
             while next_polish > residual:
                 next_polish /= 10.0
             polished = _newton(d, p, c, r, lam0, tol, u)
             if polished is not None:
                 u, s, steps = polished
-                energy_history += [t.energy for t in steps]
-                max_mass_drift = max([max_mass_drift] + [t.mass_drift for t in steps])
-                return u, it, s, energy_history, max_mass_drift, len(steps)
+                return u, it, s, steps
         if solve is None:   # factored only once the flow takes a step
             solve = factor(d, m / tau)
         v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
@@ -301,8 +286,8 @@ def _newton(d, p, c, r, lam0, tol, u):
     the mass to first order; v is then renormalized to mass c.  A step is
     kept only if it is finite, stays in B(r), lowers the residual (the
     first step of the attempt need not) and does not raise the energy by
-    more than 1e-12 |E|.  Returns (u, its measurement, the accepted
-    iterates' measurements) once the residual is <= tol and J has exactly
+    more than 1e-12 |E|.  Returns (u, its measurement, the number of
+    accepted steps) once the residual is <= tol and J has exactly
     one negative eigenvalue there, as at a minimizer on the mass sphere, or
     None: at a saddle (Morse index above 1), after a rejected step, a
     singular J, _NEWTON_STEPS steps, or when u has no constant phase to
@@ -315,7 +300,7 @@ def _newton(d, p, c, r, lam0, tol, u):
         return None
     v = v.real
     s = _measure(d, p, c, lam0, v)
-    steps = []
+    steps = 0
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS + 1):
             mv = m * v
@@ -337,7 +322,7 @@ def _newton(d, p, c, r, lam0, tol, u):
                     and t.energy <= s.energy + 1e-12 * abs(s.energy)):
                 return None
             v, s = w, t
-            steps.append(t)
+            steps += 1
     return None
 
 

@@ -173,14 +173,12 @@ def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
                            residual=float(bound))
 
 
-def spectral_gap_report(pair: GroundStatePair, gap: float | None = None) -> dict:
-    """Isolation diagnostic.  Truncating half-lines turns the continuous
-    spectrum into densely spaced discrete points near 0, so isolation means
-    a gap comparable to lambda0, not to the solver tolerance; a gap below
-    10*tol cannot be distinguished from a degenerate pair at all.  The gap
-    is computed by spectral_gap unless given."""
-    if gap is None:
-        gap, _ = spectral_gap(pair)
+def spectral_gap_report(pair: GroundStatePair, gap: float) -> dict:
+    """Isolation diagnostic for the gap spectral_gap(pair) returned.
+    Truncating half-lines turns the continuous spectrum into densely spaced
+    discrete points near 0, so isolation means a gap comparable to lambda0,
+    not to the solver tolerance; a gap below 10*tol cannot be distinguished
+    from a degenerate pair at all."""
     certified = gap >= 10.0 * pair.tol
     return {
         "lambda0": pair.lambda0,

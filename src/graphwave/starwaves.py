@@ -85,6 +85,15 @@ class ClosedFormWave:
         if not thr < self.omega < math.inf:
             raise DomainError(f"omega={self.omega} not finite or below existence "
                               f"threshold {thr} for branch j={self.j}")
+        # the peak value and its power p+1, which the energy sums, must be
+        # finite floats: refused here, before a grid samples inf * 0
+        try:
+            top = ((0.5 * (self.p + 1.0) * self.omega) ** (1.0 / (self.p - 1.0))) ** (self.p + 1.0)
+        except OverflowError:
+            top = math.inf
+        if not top < math.inf:
+            raise DomainError(f"omega={self.omega!r} is too large for p={self.p!r}: the peak "
+                              "value ((p+1) omega/2)^(1/(p-1)) to the power p+1 overflows")
         a = math.atanh(self.gamma / ((self.n_edges - 2 * self.j) * math.sqrt(self.omega)))
         k = 0.5 * (self.p - 1.0) * math.sqrt(self.omega)
         object.__setattr__(self, "a_j", a)

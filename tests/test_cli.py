@@ -642,13 +642,24 @@ def test_every_numeric_option_ends_in_a_documented_exit(tmp_path, capsys, grid_c
     ("stability", ["--p", "1e308"], "p=1e+308"),
     ("stability", ["--mode", "multiplicative-noise", "--seed", "-1"], "seed=-1"),
     ("mass-curve", ["--gamma", "1e-160"], "gamma=1e-160"),
+    ("stability", ["--delta", "1e308"], "delta=1e+308"),
+    ("stability", ["--delta", "inf"], "delta=inf"),
+    ("stability", ["--mode", "multiplicative-noise", "--delta", "1e308"], "delta=1e+308"),
+    ("stability", ["--mode", "multiplicative-noise", "--delta", "inf"], "delta=inf"),
+    ("closed-form", ["--omega", "1e308"], "omega=1e+308"),
+    ("closed-form", ["--omega", "5e307"], "omega=5e+307"),
 ], ids=["closed-form-p-1e308", "minimize-p-1e308", "sweep-p-1e308", "evolve-p-1e308",
-        "stability-p-1e308", "stability-noise-seed-minus-1", "mass-curve-gamma-1e-160"])
+        "stability-p-1e308", "stability-noise-seed-minus-1", "mass-curve-gamma-1e-160",
+        "stability-delta-1e308", "stability-delta-inf", "stability-noise-delta-1e308",
+        "stability-noise-delta-inf", "closed-form-omega-1e308", "closed-form-omega-5e307"])
 def test_meaningless_numbers_are_refused_naming_the_option(tmp_path, capsys, grid_command_inputs,
                                                           command, extra, named):
     # each number parses but means nothing: at p = 1e308 |u|^{p-1} underflows
     # (a box profile, a linear "minimizer"), a negative seed seeds no
-    # generator, and gamma = 1e-160 gives a subnormal threshold
+    # generator, gamma = 1e-160 gives a subnormal threshold, a delta of 1e308
+    # or inf gives a start whose mass overflows (it was rescaled to the zero
+    # function, or to NaN), and omega = 5e307 gives a peak whose power p+1
+    # overflows (refused only after the grid had computed inf and NaN)
     argv = list(OPTION_SWEEP_BASE[command])
     for option, value in zip(extra[::2], extra[1::2]):
         if option in argv:
@@ -755,6 +766,22 @@ def test_non_finite_function_csv_is_a_schema_error(tmp_path, capsys, star_file, 
     assert code == 1
     assert payload["error_type"] == "SchemaError"
     assert "'e2'" in payload["error"] and "x = 1.5" in payload["error"]
+
+
+@pytest.mark.parametrize("value", [1e300, 0.0], ids=["squares-overflow", "zero"])
+def test_minimize_refuses_an_init_it_cannot_rescale_to_mass_c(tmp_path, capsys, star_file,
+                                                               value):
+    # entries of 1e300 are finite, but their squares overflow: the mass was
+    # inf, the start was scaled to the zero function, and the run exited 0
+    # with a zero "minimizer"
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    path, out = tmp_path / "init.csv", tmp_path / "m"
+    mesh.save_function_csv(d.constant(value), path)
+    code, payload = run(capsys, ["minimize", star_file, "--p", "6", "--c", "1.5", "--h", "0.5",
+                                 "--tau", "1", "--init", path, "--out", out])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and "init has mass" in payload["error"]
+    assert not (out / "minimizer.csv").exists()
 
 
 def test_closed_form_refuses_an_oversized_star_before_building_it(tmp_path, capsys, monkeypatch):

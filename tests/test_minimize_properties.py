@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from graphwave import minimizers
 from graphwave.evolution import evolve, orbit_distance
-from graphwave.errors import BallExitError, ConvergenceError, GraphWaveError
+from graphwave.errors import BallExitError, ConvergenceError, DomainError, GraphWaveError
 from graphwave.graphs import Edge, MetricGraph, SquareWell, Vertex, ZeroPotential
 from graphwave.mesh import GraphFunction, build, h1_norm_sq
 from graphwave.minimizers import minimize
@@ -64,6 +64,38 @@ def test_newton_keeps_the_flow_outcome(problem):
     assert polished.newton_steps >= 1
     assert abs(polished.omega - flow.omega) <= 1e-6
     assert h1_rel(polished.phi, flow.phi) <= 1e-5
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=bound_state_problems(), k=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
+def test_minimize_start_is_rescaled_exactly(problem, k, seed):
+    # minimize scales its start by sqrt(c / mass): a power of two in front
+    # of the start cancels bit for bit, until the start's squares overflow
+    # or underflow, and such a start is refused naming init
+    d, p, fraction = problem
+    ground = ground_state(d)
+    c = fraction / ground.lambda0
+    noise = np.random.default_rng(seed).uniform(0.5, 1.5, d.n_nodes)
+    start = ground.psi0.values * noise + 0.0j
+
+    def run(values):
+        try:
+            return minimize(d, p, c, 1.0, tau=1.0, tol=1e-8, max_iter=300, ground=ground,
+                            init=GraphFunction(d, values))
+        except GraphWaveError as exc:
+            return type(exc), str(exc)
+
+    base, scaled = run(start), run(2.0**k * start)
+    if isinstance(base, tuple):
+        assert scaled == base
+    else:
+        np.testing.assert_array_equal(scaled.phi.values, base.phi.values)
+        assert (scaled.iterations, scaled.newton_steps, scaled.energy, scaled.omega) == (
+            base.iterations, base.newton_steps, base.energy, base.omega)
+    for huge in (600, -600):
+        with pytest.raises(DomainError, match="init has mass"):
+            minimize(d, p, c, 1.0, tau=1.0, ground=ground,
+                     init=GraphFunction(d, 2.0**huge * start))
 
 
 def star_with_well(truncations, depth, start):

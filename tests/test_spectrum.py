@@ -124,10 +124,10 @@ def test_gap_scales_with_truncation():
 
 
 def test_gap_report_flags(ground_h01):
-    rep = spectral_gap_report(ground_h01)
+    gap, _ = spectral_gap(ground_h01)
+    rep = spectral_gap_report(ground_h01, gap)
     assert rep["isolation_certified"]
-    assert rep["gap_over_lambda0"] == pytest.approx(
-        spectral_gap(ground_h01)[0] / ground_h01.lambda0)
+    assert rep["gap_over_lambda0"] == pytest.approx(gap / ground_h01.lambda0)
     tiny = GroundStatePair(
         lambda0=1.0 / 9.0, psi0=ground_h01.psi0,
         iterations=1, residual=1e-11, tol=1e-10,
