@@ -21,8 +21,9 @@ Both ``evolve`` and ``stability_experiment`` run the one time loop,
 ``_trajectory``: it checks the time grid, seeds the relaxation field, steps
 under the overflow guard and yields the sampled states; each caller only
 applies its own observables to those samples.  A trajectory keeps one
-factor's storage, refactored in place at every step; each step allocates
-its new state.
+elimination's storage, which each step factors and solves in a single
+LAPACK call (``Elimination.factor_solve``); each step allocates its new
+state.
 """
 from __future__ import annotations
 
@@ -80,8 +81,8 @@ def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
 
 
 class _Workspace:
-    """One trajectory's storage: the CN factor, refactored in place at every
-    step, and the step's buffers."""
+    """One trajectory's storage: the CN elimination, factored and solved in
+    one call per step, and the step's buffers."""
 
     def __init__(self, d: Discretization, dt: float):
         self.elim = Elimination(d, np.complex128)
@@ -105,21 +106,13 @@ def step(
     amplitude: |u|^{p-1} then falls below every diagonal entry's last digit."""
     u, dt = state.u.values, state.dt
     work = _Workspace(d, dt) if _work is None else _work
-    u_next, gam = np.empty(u.size, np.complex128), np.empty(u.size)
-    if work.abs_of is u:
-        np.copyto(gam, work.abs)
-    else:
-        np.abs(u, out=gam)
-    gam **= p - 1.0
+    gam = np.power(work.abs if work.abs_of is u else np.abs(u), p - 1.0)
     gam *= 2.0
     gam -= state.gamma_relax
     np.multiply(work.neg_m, gam, out=work.shift.real)
-    work.elim.refactor(work.shift)
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
-    # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the factor is of -2L
-    np.multiply(work.scale, u, out=u_next)
-    work.elim.solve_in_place(u_next[:, None])
-    u_next -= u
+    # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
+    u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
     t = state.t + dt
     # one pass decides both checks (a finite state has a finite sup unless
     # |u| itself overflows)
@@ -165,7 +158,12 @@ def _trajectory(d: Discretization, p: float, u0: GraphFunction, dt: float,
     step and after the last step, stopping at the overflow guard."""
     if sample_every < 1:
         raise DomainError("sample_every must be a positive integer")
-    state = initial_state(u0, dt, p)
+    with np.errstate(over="ignore"):   # an overflow is refused below, naming the start
+        state, c = initial_state(u0, dt, p), mass(u0)
+    top = float(np.max(state.gamma_relax))
+    if not (math.isfinite(c) and math.isfinite(top)):
+        raise DomainError(f"the start u0 has mass {c:.6g} and max|u0|^(p-1) = {top:.6g}: "
+                          "both must be finite")
     guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
     work = _Workspace(d, dt)
     yield state
@@ -250,7 +248,11 @@ def stability_experiment(
         raise DomainError(f"perturbation size must be nonnegative and finite, got delta={delta!r}")
     if not n_samples >= 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples!r}")
-    c = mass(phi_ref)
+    with np.errstate(over="ignore"):   # an overflowing square is refused below
+        c = mass(phi_ref)
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"the reference profile (ref) has mass {c:.6g}: it must be finite "
+                          "and nonzero")
     # a delta too large for the arithmetic below gives a non-finite start,
     # which rescale_to_mass refuses naming delta
     if mode == "eigenfunction-bump":

@@ -93,7 +93,7 @@ class Discretization:
         self._pos = np.array([(eg.gidx[1], eg.gidx[-2]) for eg in edge_grids]) - V
         finite = np.array([eg.gidx[-1] >= 0 for eg in edge_grids])
         self._coef = np.stack([-inv, np.where(finite, -inv, 0.0)], axis=1)
-        self._node_ends = np.repeat(self._ends, sizes, axis=0)
+        self._sizes = np.array(sizes)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u, for u of shape (n,) or (n, k), real or complex."""
@@ -272,75 +272,112 @@ class Elimination:
     dtype, the factor of the interior block T (see Discretization), Z with
     as many columns as the graph needs and the Schur complement's LU.
     ``factor`` factors a fresh one once and returns it, called as solve(b);
-    the CN time loop refactors one per step and solves in place.
+    the CN time loop calls ``factor_solve`` on one per step.
 
     A real shift first tries LAPACK ?pttrf, LDL^T without pivoting, which
     succeeds exactly when T is positive definite (``definite``); otherwise,
     and for a complex shift (T is then complex symmetric, not Hermitian),
     ?gttrf factors T with partial pivoting.  ?getrf factors the Schur
-    complement S = A_VV + diag(s_V) - B T^{-1} B^T.  refactor raises
-    DomainError when a pivot of T or S is at or below n eps max|diag|: the
-    matrix is singular to working precision."""
+    complement S = A_VV + diag(s_V) - B T^{-1} B^T.  A solve back-substitutes
+    x_I = T^{-1} x_I - Z x_V edge by edge, each end's x_V repeated over the
+    edge's interior.  DomainError when a pivot of T or S is at or below
+    n eps max|diag|: the matrix is singular to working precision."""
 
     def __init__(self, d: Discretization, dtype):
         self.d, self.dtype = d, np.dtype(dtype)
         self.V, n = len(d.vertex_index), d.n_nodes
-        self._gttrf, self._gttrs, self._getrf, self._getrs = _lapack(
-            ("gttrf", "gttrs", "getrf", "getrs"), self.dtype)
+        self._gttrf, self._gttrs, self._gtsv, self._getrf, self._getrs = _lapack(
+            ("gttrf", "gttrs", "gtsv", "getrf", "getrs"), self.dtype)
         self._pttrf, self._pttrs = (_lapack(("pttrf", "pttrs"), float) if self.dtype == float
                                     else (None, None))
-        self._off = d._off.astype(self.dtype, copy=False)   # read-only here
+        # A's diagonal and off-diagonals cast once (read-only here), and what
+        # each factor reuses: -B's coefficients, where B Z lands in S, n eps
+        self._a, self._off = (v.astype(self.dtype, copy=False) for v in (d._diag, d._off))
+        self._neg, self._tol = -d._coef[:, :, None], n * np.finfo(float).eps
         self._dl, self._du = np.empty_like(self._off), np.empty_like(self._off)
         self._diag, self._abs = np.empty(n, self.dtype), np.empty(n)
         # Z = T^{-1} B^T, two coefficients per interior node: column j answers
         # each edge's coupling at its j-th end; a graph of half-lines has no
-        # second column (a half-line's far end couples to nothing)
-        self._cols = 2 if d._coef[:, 1].any() else 1
-        self._Z = np.zeros((n - self.V, self._cols), self.dtype, order="F")
+        # second column (a half-line's far end couples to nothing).  Z sits
+        # beside x_I in one buffer [x_V | x_I | Z], as factor_solve's ?gtsv
+        # takes them; _bt keeps B^T, which each factor restores Z to
+        self._cols = cols = 2 if d._coef[:, 1].any() else 1
+        self._buf = np.empty(n + cols * (n - self.V), self.dtype)
+        self._R = self._buf[self.V:].reshape((n - self.V, cols + 1), order="F")
+        self._bt = np.zeros((n - self.V, cols), self.dtype, order="F")
+        self._bt[d._pos[:, :cols], np.arange(cols)] = d._coef[:, :cols]
+        self._into_s = (d._ends[:, :, None] * self.V + d._ends[:, None, :cols]).ravel()
 
     def refactor(self, shift: np.ndarray) -> None:
         """Factor A + diag(shift) into this storage, replacing the last factor."""
-        d, V, cols = self.d, self.V, self._cols
-        ends, pos, coef = d._ends, d._pos, d._coef
-        diag = np.add(d._diag, shift, out=self._diag)
-        big = np.abs(diag, out=self._abs).max()
+        V, (diag, big) = self.V, self._load(shift)
         self.definite = False
         if self._pttrf is not None:   # on copies: a failed attempt leaves diag intact
             dt, e, info = self._pttrf(diag[V:], self._off)
             self.definite = info == 0
             self._T, self._trs = (dt, e), self._pttrs
         if not self.definite:
-            np.copyto(self._dl, self._off)
-            np.copyto(self._du, self._off)
             dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
                                                    overwrite_d=1, overwrite_du=1)
             self._T, self._trs = (dl, dt, du, du2, ipiv), self._gttrs
-        Z = self._Z
-        Z.fill(0.0)
-        Z[pos[:, :cols], np.arange(cols)] = coef[:, :cols]
-        Z = self._Z = self._trs(*self._T, Z, overwrite_b=1)[0]
+        self._schur(diag, big, dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
+
+    def factor_solve(self, shift: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The solution x of (A + diag(shift)) x = w u, for w and u of shape
+        (n,), in storage that the next call overwrites.  One ?gtsv, with
+        ?gttrf's and ?gttrs's arithmetic, eliminates T and solves it for B^T
+        and w_I u_I together.  It keeps no factor of T, so when refine is
+        asked for, this refactors and solves as refactor + solve_in_place."""
+        V, (diag, big) = self.V, self._load(shift)
+        x = np.multiply(w, u, out=self._buf[:self.d.n_nodes])
+        self.definite, self._T = False, None
+        _, dt, _, R, info = self._gtsv(self._dl, diag[V:], self._du, self._R, overwrite_dl=1,
+                                       overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        self._schur(diag, big, None if info > 0 else dt, R[:, 1:])
+        if not self.refine:
+            return self._eliminate(x[:, None], R[:, :1])[:, 0]
+        self.refactor(shift)
+        self.solve_in_place(np.multiply(w, u, out=x)[:, None])
+        return x
+
+    def _load(self, shift):
+        """A + diag(shift)'s diagonal and max modulus; B^T and T's off-diagonals restored."""
+        self.shift = shift
+        np.copyto(self._R[:, 1:], self._bt)
+        np.copyto(self._dl, self._off)
+        np.copyto(self._du, self._off)
+        diag = np.add(self._a, shift, out=self._diag)
+        return diag, np.abs(diag, out=self._abs).max()
+
+    def _schur(self, diag, big, dt, Z):
+        """Keep Z and factor S from it; dt, T's pivots, is None where ?gtsv met an exact zero."""
+        V = self.V
         S = np.diag(diag[:V])    # A's vertex block is diagonal
-        np.add.at(S, (ends[:, :, None], ends[:, None, :cols]), -coef[:, :, None] * Z[pos])
+        np.add.at(S.reshape(-1), self._into_s, (self._neg * Z[self.d._pos]).reshape(-1))
         lu, piv, _ = self._getrf(S)
-        worst = min(np.abs(dt, out=self._abs[V:]).min(), np.abs(lu.diagonal()).min())
-        if not worst > d.n_nodes * np.finfo(float).eps * big:
+        worst = 0.0 if dt is None else min(np.abs(dt, out=self._abs[V:]).min(),
+                                           np.abs(lu.diagonal()).min())
+        if not worst > self._tol * big:
             raise DomainError(f"A + diag(shift) is singular: pivot {worst:.3g} <= n eps max|diag|")
         # x_I = y - Z x_V cancels digits when T is nearly singular, as a shift
         # near a Dirichlet eigenvalue of an edge makes it; |Z| >> 1 shows the
         # loss, and one step of iterative refinement wins the digits back
         parts = Z.ravel(order="K").view(float)
         self.refine = bool(max(parts.max(), -parts.min()) > 10.0)
-        self._S, self._lu, self._piv = S, lu, piv
-        self.shift = shift
+        self._Z, self._S, self._lu, self._piv = Z, S, lu, piv
 
-    def _eliminate(self, x: np.ndarray) -> np.ndarray:
+    def _eliminate(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """Overwrite x, of shape (n, k), with the solution, from y = T^{-1} x_I
+        (solved with the kept factor of T unless given)."""
         V, d = self.V, self.d
-        y = self._trs(*self._T, x[V:], overwrite_b=1)[0]
+        if y is None:
+            y = self._trs(*self._T, x[V:], overwrite_b=1)[0]
         r = x[:V].copy()
-        np.add.at(r, d._ends, -d._coef[:, :, None] * y[d._pos])
+        np.add.at(r, d._ends, self._neg * y[d._pos])
         x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
         for j in range(self._cols):
-            y -= self._Z[:, j:j + 1] * x_v[d._node_ends[:, j]]
+            for k in range(x.shape[1]):
+                y[:, k] -= self._Z[:, j] * np.repeat(x_v[d._ends[:, j], k], d._sizes)
         if not np.may_share_memory(y, x):   # overwrite_b is a request, not a promise
             x[V:] = y
         return x

@@ -202,6 +202,7 @@ def check_arguments(p: float, c: float, r: float, tau: float | None, tol: float,
 
 class _Iterate(NamedTuple):
     """What the flow and the Newton polish measure at one iterate u."""
+    abs_pow: np.ndarray     # |u|^{p-1}
     nonlin: np.ndarray      # |u|^{p-1} u
     rvec: np.ndarray        # stationary residual Au/m - |u|^{p-1} u + omega_hat u
     omega_hat: float        # (||u||_{p+1}^{p+1} - form[u]) / c
@@ -214,12 +215,14 @@ def _measure(d, p, c, lam0, u) -> _Iterate:
     m = d.m
     Au = d.apply(u)
     abs_u = np.abs(u)
-    nonlin = abs_u ** (p - 1.0) * u
+    abs_pow = abs_u ** (p - 1.0)
+    nonlin = abs_pow * u
     form = float(np.real(np.vdot(u, Au)))
     power = float(np.sum(m * abs_u ** (p + 1.0)))
     omega_hat = (power - form) / c
     rvec = Au / m - nonlin + omega_hat * u
     return _Iterate(
+        abs_pow=abs_pow,
         nonlin=nonlin,
         rvec=rvec,
         omega_hat=omega_hat,
@@ -305,7 +308,7 @@ def _newton(d, p, c, r, lam0, tol, u):
         for _ in range(_NEWTON_STEPS + 1):
             mv = m * v
             try:
-                solve = factor(d, s.omega_hat * m - p * m * np.abs(v) ** (p - 1.0))
+                solve = factor(d, s.omega_hat * m - p * m * s.abs_pow)
             except DomainError:
                 return None
             if s.residual <= tol:

@@ -53,6 +53,7 @@ def profile_f(x, p: float, omega: float):
     check_exponent(p, "the profile")
     if not 0 < omega < math.inf:
         raise DomainError(f"profile needs finite omega > 0, got omega={omega!r}")
+    _check_peak(p, omega)
     x = np.asarray(x, dtype=float)
     k = 0.5 * (p - 1.0) * math.sqrt(omega)
     # overflow-safe sech via exp(-|z|)
@@ -60,6 +61,18 @@ def profile_f(x, p: float, omega: float):
     sech = 2.0 * np.exp(-z) / (1.0 + np.exp(-2.0 * z))
     amp = (0.5 * (p + 1.0) * omega) ** (1.0 / (p - 1.0))
     return amp * sech ** (2.0 / (p - 1.0))
+
+
+def _check_peak(p: float, omega: float) -> None:
+    """DomainError unless the peak value ((p+1) omega/2)^{1/(p-1)} and its power
+    p+1, which the energy sums, are finite: refused before a grid samples inf * 0."""
+    try:
+        top = ((0.5 * (p + 1.0) * omega) ** (1.0 / (p - 1.0))) ** (p + 1.0)
+    except OverflowError:
+        top = math.inf
+    if not top < math.inf:
+        raise DomainError(f"omega={omega!r} is too large for p={p!r}: the peak "
+                          "value ((p+1) omega/2)^(1/(p-1)) to the power p+1 overflows")
 
 
 @dataclass(frozen=True)
@@ -85,15 +98,7 @@ class ClosedFormWave:
         if not thr < self.omega < math.inf:
             raise DomainError(f"omega={self.omega} not finite or below existence "
                               f"threshold {thr} for branch j={self.j}")
-        # the peak value and its power p+1, which the energy sums, must be
-        # finite floats: refused here, before a grid samples inf * 0
-        try:
-            top = ((0.5 * (self.p + 1.0) * self.omega) ** (1.0 / (self.p - 1.0))) ** (self.p + 1.0)
-        except OverflowError:
-            top = math.inf
-        if not top < math.inf:
-            raise DomainError(f"omega={self.omega!r} is too large for p={self.p!r}: the peak "
-                              "value ((p+1) omega/2)^(1/(p-1)) to the power p+1 overflows")
+        _check_peak(self.p, self.omega)
         a = math.atanh(self.gamma / ((self.n_edges - 2 * self.j) * math.sqrt(self.omega)))
         k = 0.5 * (self.p - 1.0) * math.sqrt(self.omega)
         object.__setattr__(self, "a_j", a)

@@ -709,7 +709,8 @@ def test_commands_import_only_what_they_run(tmp_path, grid_command_inputs, argv,
 
 def test_factor_is_bit_identical_through_either_lapack_loader():
     # one process takes LAPACK from the extension module's file, the other
-    # through scipy.linalg.get_lapack_funcs, as when the file is not found
+    # through scipy.linalg.get_lapack_funcs, as when the file is not found;
+    # factor_solve's ?gtsv is loaded the same way
     script = ("import hashlib, sys\n"
               "import numpy as np\n"
               "from graphwave import mesh\n"
@@ -725,7 +726,9 @@ def test_factor_is_bit_identical_through_either_lapack_loader():
               "real = mesh.factor(d, s - 2.0 * d.m)    # T indefinite: ?gttrf\n"
               "cplx = mesh.factor(d, s - 2j * d.m)\n"
               "assert below.definite and not real.definite\n"
-              "out = [below(b), real(b), cplx(b + 1j * b[:, ::-1]),\n"
+              "fused = mesh.Elimination(d, complex).factor_solve(s - 2j * d.m, 1j * d.m,\n"
+              "                                                  b[:, 0] + 1j * b[:, 1])\n"
+              "out = [below(b), real(b), cplx(b + 1j * b[:, ::-1]), fused,\n"
               "       np.array([below.n_negative(), real.n_negative()])]\n"
               "print(hashlib.sha256(b''.join(x.tobytes() for x in out)).hexdigest(),\n"
               "      'scipy.linalg' in sys.modules)\n")
@@ -782,6 +785,28 @@ def test_minimize_refuses_an_init_it_cannot_rescale_to_mass_c(tmp_path, capsys, 
     assert code == 1
     assert payload["error_type"] == "DomainError" and "init has mass" in payload["error"]
     assert not (out / "minimizer.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, named", [
+    (["evolve", "--p", "6", "--dt", "0.25", "--T", "0.5", "--init"],
+     "the start u0 has mass inf"),
+    (["stability", "--p", "6", "--dt", "0.25", "--T", "0.5", "--delta", "0.01", "--ref"],
+     "the reference profile (ref) has mass inf"),
+])
+def test_a_start_whose_squares_overflow_is_refused_naming_it(tmp_path, capsys, star_file, argv,
+                                                              named):
+    # entries of 1e300 are finite, but their squares overflow: evolve blamed
+    # the matrix ("singular: pivot nan") and stability blamed delta, each
+    # after RuntimeWarnings
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    path = tmp_path / "big.csv"
+    mesh.save_function_csv(d.constant(1e300), path)
+    command, *options = argv
+    code, payload = run(capsys, [command, star_file, "--h", "0.5", *options, path,
+                                 "--out", tmp_path / command])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and named in payload["error"]
 
 
 def test_closed_form_refuses_an_oversized_star_before_building_it(tmp_path, capsys, monkeypatch):

@@ -60,17 +60,17 @@ def test_linear_overlap_modulus_constant(small_setup):
 
 
 def test_evolve_refactors_once_per_step(monkeypatch, small_setup):
-    # the CN matrix moves with |u|^{p-1}: the trajectory refactors its one
-    # workspace once per step
+    # the CN matrix moves with |u|^{p-1}: the trajectory factors and solves
+    # in its one workspace once per step
     d, gs = small_setup
     calls = []
-    refactor = mesh.Elimination.refactor
+    factor_solve = mesh.Elimination.factor_solve
 
-    def counting_refactor(self, shift):
+    def counting_factor_solve(self, shift, w, u):
         calls.append(shift)
-        return refactor(self, shift)
+        return factor_solve(self, shift, w, u)
 
-    monkeypatch.setattr(mesh.Elimination, "refactor", counting_refactor)
+    monkeypatch.setattr(mesh.Elimination, "factor_solve", counting_factor_solve)
     u0 = GraphFunction(d, gs.psi0.values.astype(complex))
     evolve(d, 5.0, u0, 0.01, 0.1)
     assert len(calls) == 10
@@ -183,6 +183,17 @@ def test_time_grid_must_be_whole_steps(small_setup, t_final, dt, sample_every):
     if sample_every == 1:
         with pytest.raises(DomainError):
             stability_experiment(d, 6.0, u0, delta=0.0, t_final=t_final, dt=dt)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_start_whose_power_overflows_is_refused_before_any_step(small_setup):
+    # mass 1e200 m is finite, but |u0|^{p-1} = 1e600 is not: the first
+    # factor would have seen inf and NaN
+    d, _ = small_setup
+    u0 = d.zeros()
+    u0.values[0] = 1e100
+    with pytest.raises(DomainError, match=r"max\|u0\|\^\(p-1\) = inf"):
+        evolve(d, 7.0, u0, 0.01, 0.1)
 
 
 def test_step_count_is_capped():

@@ -487,6 +487,74 @@ def test_factor_near_a_dirichlet_eigenvalue_of_an_edge():
 
 
 @settings(max_examples=60, deadline=None)
+@given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 0.1))
+def test_factor_solve_is_refactor_and_solve_in_place_bit_for_bit(d, seed, dt):
+    # the CN step's shape, -m (gam + 2i/dt) and the right side -4i m/dt u:
+    # the one ?gtsv pass eliminates T with ?gttrf's and ?gttrs's arithmetic,
+    # on graphs whose Z has one column (stars, self-loops) and two (trees, cycles)
+    rng = np.random.default_rng(seed)
+    n = d.n_nodes
+    shift = -d.m * (rng.uniform(0.0, 3.0, n) + 2j / dt)
+    w, u = -4j * d.m / dt, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fused = mesh.Elimination(d, complex)
+    x = fused.factor_solve(shift, w, u).copy()
+    kept = mesh.Elimination(d, complex)
+    kept.refactor(shift)
+    ref = (w * u)[:, None]
+    kept.solve_in_place(ref)
+    np.testing.assert_array_equal(x, ref[:, 0])
+    assert fused.refine == kept.refine
+
+
+def test_factor_solve_refines_through_a_kept_factor_near_a_dirichlet_eigenvalue():
+    # the CN shift with gam at the lowest eigenvalue of edge e1's interior
+    # block and a large dt, whose 2i/dt barely moves it off: |Z| >> 10, and
+    # the fused call, which keeps no factor of T, falls back to refactor and
+    # one refinement step
+    g = MetricGraph(
+        vertices=(Vertex("v", 0.5),),
+        edges=(Edge("e1", "v", None, math.inf, 3.0), Edge("e2", "v", None, math.inf, 5.0)),
+    ).validate()
+    d = build(g, 0.1)
+    eg = d.edge_grids[0]
+    sigma = 2.0 / eg.h**2 * (1.0 - math.cos(math.pi / (eg.gidx.size - 1))) * (1.0 + 1e-8)
+    dt = 1e6
+    shift = -d.m * (sigma + 2j / dt)
+    w, u = -4j * d.m / dt, np.exp(-np.arange(d.n_nodes) / 50.0) + 0j
+    solve = mesh.Elimination(d, complex)
+    x = solve.factor_solve(shift, w, u)
+    assert solve.refine
+    ref = np.linalg.solve(d.A.toarray() + np.diag(shift), w * u)
+    assert rel_err(x, ref) <= 1e-10
+
+
+def test_three_column_real_solve_back_substitutes_as_the_per_node_gather_did():
+    # a tree, so that Z has two columns, under a definite shift (?pttrf) and
+    # an indefinite one (?gttrf).  Each interior value is y - Z x_V with
+    # x_V read at the node's own edge ends, summed column of Z by column, bit
+    # for bit.  A one-column solve agrees only to rounding: ?getrs, on the
+    # vertex Schur complement, takes another path for one right side
+    g = MetricGraph(
+        vertices=(Vertex("a", 1.0), Vertex("b", 0.5), Vertex("c", 0.2)),
+        edges=(Edge("ab", "a", "b", 2.0), Edge("bc", "b", "c", 1.5),
+               Edge("ha", "a", None, math.inf, 8.0), Edge("hc", "c", None, math.inf, 9.0)),
+    ).validate()
+    d = build(g, 0.05)
+    V, node_ends = 3, np.repeat(d._ends, d._sizes, axis=0)
+    b = np.random.default_rng(5).standard_normal((d.n_nodes, 3))
+    for s, definite in ((2.0 * d.m, True), (-0.2 * d.m, False)):
+        solve = factor(d, s)
+        x = solve(b)
+        assert solve.definite == definite and solve._cols == 2 and not solve.refine
+        y = solve._trs(*solve._T, np.array(b[V:], order="F"))[0]
+        for k in range(3):
+            for j in range(2):
+                y[:, k] -= solve._Z[:, j] * x[node_ends[:, j], k]
+            np.testing.assert_array_equal(x[V:, k], y[:, k])
+            assert rel_err(solve(b[:, k]), x[:, k]) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
 @given(d=st.one_of(small_graphs(), graphs_with_potentials()), seed=st.integers(0, 2**32 - 1),
        complex_u=st.booleans(), shape=st.sampled_from([(), (2,)]))
 def test_apply_matches_the_csr_product(d, seed, complex_u, shape):

@@ -42,6 +42,16 @@ def test_profile_even_and_monotone():
         profile_f(0.0, 0.5, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1e308, 5e307])
+def test_profile_refuses_an_omega_whose_peak_overflows(omega):
+    # it returned [inf, nan] with a RuntimeWarning; ClosedFormWave shares the check
+    for make in (lambda: profile_f([0.0, 0.5], 5.0, omega),
+                 lambda: ClosedFormWave(3, 1.0, 5.0, omega)):
+        with pytest.raises(DomainError, match="peak value"):
+            make()
+
+
 def test_wave_invariants():
     w = ClosedFormWave(3, 1.0, 5.0, 1.0, 0)
     assert w.a_j == pytest.approx(math.atanh(1.0 / 3.0), rel=1e-14)
