@@ -129,6 +129,7 @@ def _cmd_spectrum(args, out, g) -> dict:
         "gap": gap,
         "residual": pair.residual,
         "iterations": pair.iterations + gap_iterations,
+        "factorizations": pair.factorizations,
         "isolation_certified": report["isolation_certified"],
         "n_nodes": d.n_nodes,
     }

@@ -307,6 +307,7 @@ class Elimination:
         self._bt = np.zeros((n - self.V, cols), self.dtype, order="F")
         self._bt[d._pos[:, :cols], np.arange(cols)] = d._coef[:, :cols]
         self._into_s = (d._ends[:, :, None] * self.V + d._ends[:, None, :cols]).ravel()
+        self.factorizations = 0   # refactors and factor_solves into this storage
 
     def refactor(self, shift: np.ndarray) -> None:
         """Factor A + diag(shift) into this storage, replacing the last factor."""
@@ -342,7 +343,7 @@ class Elimination:
 
     def _load(self, shift):
         """A + diag(shift)'s diagonal and max modulus; B^T and T's off-diagonals restored."""
-        self.shift = shift
+        self.shift, self.factorizations = shift, self.factorizations + 1
         np.copyto(self._R[:, 1:], self._bt)
         np.copyto(self._dl, self._off)
         np.copyto(self._du, self._off)
@@ -382,6 +383,12 @@ class Elimination:
             x[V:] = y
         return x
 
+    def extend(self, y: np.ndarray) -> np.ndarray:
+        """x = (y, -Z y), which A + diag(shift) maps to (S y, 0), for vertex values y."""
+        d = self.d
+        return np.concatenate([y, -sum(self._Z[:, j] * np.repeat(y[d._ends[:, j]], d._sizes)
+                                       for j in range(self._cols))])
+
     def solve_in_place(self, x: np.ndarray) -> None:
         """Overwrite x, of shape (n, k) and the factor's dtype, with the
         solution of (A + diag(shift)) y = x."""
@@ -409,13 +416,15 @@ class Elimination:
         A + diag(shift), by Haynsworth: inertia = inertia(T) + inertia(S).
         T has none when ?pttrf factored it; otherwise a Sturm count gives
         them (?gttrf's pivots do not: dstebz over (-inf, 0]).  S's come from
-        eigvalsh."""
+        eigh, which also keeps S's lowest eigenpair as ``lowest``."""
         V, d, in_t = self.V, self.d, 0
         if not self.definite:
             (stebz,) = _lapack(("stebz",), float)
             in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, 0.0,
                          "E")[0]
-        return in_t + int(np.sum(np.linalg.eigvalsh(self._S) < 0.0))
+        lam, vec = np.linalg.eigh(self._S)
+        self.lowest = lam[0], vec[:, 0]
+        return in_t + int(np.sum(lam < 0.0))
 
 
 def factor(d: Discretization, shift: np.ndarray) -> Elimination:

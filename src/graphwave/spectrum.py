@@ -2,14 +2,16 @@
 normalized eigenfunction, and, only when asked, the distance to the
 second eigenvalue.
 
-Solves A psi = mu M psi (M = diagonal lumped mass) by shift-and-invert:
-factor (A - sigma M) with mesh.factor's O(n) edge/vertex elimination, so a
-factorization costs about as much as a few solves.  ground_state runs a
-power iteration that re-factors at a Rayleigh shift after each iterate:
-the current Rayleigh quotient less twice the residual bound, taken only
-where the factor's inertia proves A - sigma M positive definite, so sigma
-stays below the spectrum and closes in on its bottom within about ten
-iterations.  spectral_gap runs Lanczos on one fixed shift.
+Solves A psi = mu M psi (M = diagonal lumped mass) with mesh.factor's O(n)
+edge/vertex elimination of A - sigma M.  ground_state runs Newton on the
+vertex secular equation: the lowest eigenvalue of the V x V Schur
+complement S(sigma) vanishes at the bottom of the spectrum, and each step,
+one refactor, is a Rayleigh quotient that closes in on it from the right
+as the factor's inertia shows; inverse iteration on the last factor then
+polishes the eigenvector.  Where an edge's own spectrum lies below 0, or
+the polish finds another eigenvalue, power iterations from below at shifts
+that the inertia certifies find it.
+spectral_gap runs Lanczos on one fixed shift.
 """
 from __future__ import annotations
 
@@ -22,12 +24,11 @@ from .mesh import Discretization, Elimination, GraphFunction, factor
 
 __all__ = ["GroundStatePair", "ground_state", "spectral_gap", "spectral_gap_report"]
 
-# most power iterations ground_state takes, and most Lanczos steps spectral_gap takes
+# most iterations ground_state takes, and most Lanczos steps spectral_gap takes
 _MAX_ITER = 20000
 _MAX_LANCZOS = 300
-# relative margin of ground_state's Rayleigh shifts below mu - 2 eta: far
-# above mu's round-off, and A - sigma M's pivots stay clear of the
-# singularity check at 96k nodes (iteration counts match from 1e-4 to 1e-10)
+# relative margin of ground_state's shifts below mu - 2 eta, and its least relative
+# Newton step: far above mu's round-off, and clear of the singularity check
 _DELTA = 1e-6
 
 
@@ -35,44 +36,66 @@ _DELTA = 1e-6
 class GroundStatePair:
     lambda0: float            # -lambda0 = smallest eigenvalue of the form
     psi0: GraphFunction       # mass-normalized, sign-fixed positive
-    iterations: int
+    iterations: int           # Newton steps plus solves
     residual: float
     tol: float                # residual the solve stopped at (see ground_state)
+    factorizations: int = 0   # of A - sigma M, counted on each Elimination
 
 
-def _shift_invert_smallest(d, sigma, tol, floor):
-    """Power iteration on (A - sigma M)^{-1} M from the constant vector,
-    converging to the smallest eigenvalue when sigma is below the spectrum
-    (the constant vector meets the positive ground state).
-
-    After each iterate w (M-normalized, Rayleigh quotient mu, residual
-    eta = ||M^{-1/2} (A w - mu M w)||) it proposes the shift
-    mu - 2 eta - _DELTA (|mu| + 1), which lies below the spectrum once the
-    eigenvalue within eta of mu is the smallest one.  Refactoring there
-    proves or refutes that (Sylvester): the shift is taken only when T's
-    LDL^T succeeds and S has no eigenvalue <= 0, so A - sigma M stays
-    positive definite and the iteration cannot pass the bottom of the
-    spectrum.  A refuted proposal keeps the current factor.
-
-    Stops at residual <= tol once the sign of mu is certain: a Rayleigh
-    quotient mu < 0 bounds the smallest eigenvalue from above, while mu >= 0
-    needs the eigenvalue within eta of mu to be positive, or the residual at
-    the round-off floor.  Returns (mu, vector, iterations, residual).
-    An iterate whose M-norm is 0 or not finite (squares of a grid step
-    such as 1e-100 underflow) raises DomainError naming the grid step.
+def _shift_invert_smallest(d, tol, floor):
+    """The smallest eigenvalue mu0 of A psi = mu M psi, as (mu, vector,
+    iterations, residual, factorizations), iterations counting Newton steps
+    and solves.  Newton steps on mu_min(S(sigma)) = 0 from sigma = 0, each
+    the Rayleigh quotient of x = (y, -Z y) for S's lowest eigenvector y,
+    are taken while their factor keeps T definite, and end below
+    _DELTA (|sigma| + 1); solves on the last factor then polish x.  Where T
+    is indefinite at 0 or A singular, solves start from the constant vector
+    below Gershgorin's bound min_i (A 1)_i / m_i, and after an iterate of
+    Rayleigh quotient mu and eta = ||M^{-1/2} (A w - mu M w)|| take the
+    shift mu - 2 eta - _DELTA (|mu| + 1) where its inertia proves it below
+    the spectrum, or right of mu0 with T definite, where Newton takes over.
+    Solves stop at residual <= tol once mu's sign is certain (mu < 0, the
+    eigenvalue within eta of mu positive, or the residual at the floor) and,
+    on a factor right of mu0, once mu lies below it with no other eigenvalue
+    there; else they restart from below, without Newton.  No negative
+    eigenvalue at 0 raises AssumptionError after a first iterate passes the
+    M-norm check, which raises DomainError naming the grid step.
     """
-    m = d.m
-    solve, trial = factor(d, -sigma * m), Elimination(d, float)
-    v = np.ones(d.n_nodes)
-    v /= np.sqrt((m * v) @ v)
-    res = np.inf
+    m, ones = d.m, np.ones(d.n_nodes)
+    cur, spare = Elimination(d, float), Elimination(d, float)
+
+    def trial(sigma):   # A - sigma M factored into spare: its inertia, None if singular
+        try:
+            spare.refactor(-sigma * m)
+        except DomainError:
+            return None
+        return spare.n_negative()
+
+    under = trial(0.0)   # eigenvalues below sigma
+    unbound, newton, switch, res = under == 0, bool(under) and spare.definite, True, np.inf
+    cur, spare, sigma = (spare, cur, 0.0) if unbound or newton else (cur, spare, None)
+    v = start = ones / np.sqrt((m * ones) @ ones)
     for it in range(1, _MAX_ITER + 1):
-        w = solve(m * v)
+        if sigma is None:   # solves from the constant vector, below the spectrum
+            sigma, under, v = float(np.min(d.apply(ones) / m)) - 1.0, 0, start
+            cur.refactor(-sigma * m)
+        if newton:
+            x = cur.extend(cur.lowest[1])
+            norm2 = (m * x) @ x
+            v, step = x / np.sqrt(norm2), cur.lowest[0] / norm2
+            neg = trial(sigma + step) if abs(step) > _DELTA * (abs(sigma) + 1.0) else None
+            newton = neg is not None and spare.definite
+            if newton:
+                cur, spare, sigma, under = spare, cur, sigma + step, neg
+            continue
+        w = cur(m * v)
         norm = np.sqrt((m * w) @ w)
         if not 0 < norm < np.inf:
             raise DomainError(
                 f"the eigen-iterate's M-norm is {norm} at iteration {it}: float "
                 f"arithmetic cannot resolve the grid step h={d.h_max:g}")
+        if unbound:
+            raise AssumptionError("no negative ground energy: A's inertia shows no bound state")
         w /= norm
         Aw = d.apply(w)
         mu = (w @ Aw)
@@ -80,17 +103,16 @@ def _shift_invert_smallest(d, sigma, tol, floor):
         res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
         eta = np.sqrt(np.sum(rvec**2 / m))
         v = w
-        if res <= tol and (mu < 0 or res <= floor or eta < mu):
-            return mu, v, it, res
+        done = res <= tol and (mu < 0 or res <= floor or eta < mu)
         proposal = mu - 2.0 * eta - _DELTA * (abs(mu) + 1.0)
-        if proposal > sigma:
-            try:
-                trial.refactor(-proposal * m)
-                below = trial.definite and trial.n_negative() == 0
-            except DomainError:   # singular: not provably below the spectrum
-                below = False
-            if below:
-                solve, trial, sigma = trial, solve, proposal
+        if under > 1 or (under and (proposal > sigma or (done and mu >= sigma))):
+            sigma, switch = None, False   # not mu0: a stalled step, or mu0's next within _DELTA
+        elif done:
+            return mu, v, it, res, cur.factorizations + spare.factorizations
+        elif proposal > sigma:
+            neg = trial(proposal)
+            if neg == 0 or (switch and neg and spare.definite):
+                cur, spare, sigma, under, newton = spare, cur, proposal, neg, neg > 0
     raise ConvergenceError(
         f"eigenvalue iteration did not reach tol={tol} in {_MAX_ITER} iterations",
         residual=res,
@@ -107,17 +129,14 @@ def ground_state(d: Discretization, tol: float = 1e-10) -> GroundStatePair:
 
     Raises DomainError unless 0 < tol < inf, and AssumptionError when the
     ground energy is not negative (no bound state: the model requires
-    lambda0 > 0); that verdict is drawn only where the residual proves it,
-    at any tol.
+    lambda0 > 0); that verdict is drawn only where the inertia of A or the
+    residual proves it, at any tol.
     """
     if not 0 < tol < np.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d._diag)) / np.min(d.m))
     tol = max(tol, floor)
-    # start one below Gershgorin's bound for M^{-1} A: every off-diagonal of
-    # A is -1/h or 0, so no eigenvalue lies below min_i (A 1)_i / m_i
-    sigma = float(np.min(d.apply(np.ones(d.n_nodes)) / d.m)) - 1.0
-    mu0, v0, it0, res0 = _shift_invert_smallest(d, sigma, tol, floor)
+    mu0, v0, it0, res0, factorizations = _shift_invert_smallest(d, tol, floor)
     if mu0 >= 0:
         raise AssumptionError(
             "no negative ground energy: the bottom of the spectrum is "
@@ -126,7 +145,8 @@ def ground_state(d: Discretization, tol: float = 1e-10) -> GroundStatePair:
     # deterministic sign: make the largest-magnitude entry positive
     v0 = v0 * np.sign(v0[np.argmax(np.abs(v0))])
     return GroundStatePair(lambda0=float(-mu0), psi0=GraphFunction(d, v0),
-                           iterations=it0, residual=float(res0), tol=tol)
+                           iterations=it0, residual=float(res0), tol=tol,
+                           factorizations=factorizations)
 
 
 def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:

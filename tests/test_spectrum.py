@@ -11,13 +11,18 @@ from scipy.sparse.linalg import eigsh
 
 from graphwave import mesh, spectrum
 from graphwave.errors import AssumptionError, DomainError
-from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
+from graphwave.graphs import Edge, MetricGraph, SquareWell, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import GraphFunction, mass, quadratic_form
 from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
-from strategies import small_graphs
+from strategies import branching_graphs, has_negative_eigenvalue, small_graphs
 
-# examples of the gap-against-eigh gate; CI also runs it with 300
+# examples of the gates against dense eigh; CI also runs them with 300
 GAP_EXAMPLES = int(os.environ.get("GRAPHWAVE_GAP_EXAMPLES", "30"))
+# ground_state's iterations (Newton steps and solves) and factorizations on
+# branching_graphs: medians 7 and 6, at most 19 and 20 over 19000 random
+# draws; the most come where T's bottom lies just above 0, where each Newton
+# step only doubles the distance to that pole of the secular function
+STEP_BOUND, FACTOR_BOUND = 22, 22
 
 
 def test_star3_ground_state(ground_h01):
@@ -178,3 +183,53 @@ def test_spectral_gap_matches_dense_eigh(d):
     # a Rayleigh shift past the bottom of the spectrum would converge elsewhere
     assert pair.lambda0 == pytest.approx(-mu[0], rel=1e-9)
     assert spectral_gap(pair)[0] == pytest.approx(mu[1] - mu[0], abs=1e-7)
+
+
+@settings(max_examples=2 * GAP_EXAMPLES, deadline=None)
+@given(drawn=branching_graphs())
+def test_ground_state_matches_dense_eigh_where_the_loop_branches(drawn):
+    d, kirchhoff = drawn
+    A = d.A.toarray()
+    v = eigh(A, np.diag(d.m), subset_by_index=[0, 0])[1][:, 0]
+    # the Rayleigh quotient of eigh's vector: eigh's eigenvalue itself is off
+    # by about eps ||M^{-1} A|| (8e-12 on a 581-node graph with lambda0 = 6.7e-3)
+    mu0 = (v @ A @ v) / (v @ (d.m * v))
+    if kirchhoff:
+        # lambda0 = 0 exactly: A is singular, and the sign of the bottom is
+        # round-off, so either verdict may come, but no bound state of size
+        assert abs(mu0) < 1e-10
+        try:
+            assert ground_state(d).lambda0 < 1e-12
+        except AssumptionError:
+            pass
+        return
+    if not has_negative_eigenvalue(A):
+        with pytest.raises(AssumptionError, match="no negative ground energy"):
+            ground_state(d)
+        return
+    pair = ground_state(d)
+    assert pair.lambda0 == pytest.approx(-mu0, rel=1e-9)
+    assert pair.iterations <= STEP_BOUND and pair.factorizations <= FACTOR_BOUND
+
+
+def test_a_newton_step_stalled_under_an_edge_eigenvalue_is_not_taken_for_convergence():
+    # the well on h0 puts the bottom of the edge block T 1.4e-8 above 0, so
+    # at sigma = 0 the secular function's slope is huge and the Newton step
+    # tiny; inverse iteration there finds 9.6e-3, the eigenvalue nearest 0,
+    # and reading it as the ground state would deny the bound state at -1
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    g = MetricGraph(
+        vertices=(Vertex("v", 2.0),),
+        edges=(Edge("h0", "v", None, math.inf, 10.0,
+                    potential=SquareWell(-0.166035, 3.0, 3.0)),
+               Edge("h1", "v", None, math.inf, 10.0)),
+    ).validate()
+    d = mesh.build(g, 0.05)
+    s = 1.0 / np.sqrt(d.m[1:])
+    t_bottom = eigvalsh_tridiagonal(d._diag[1:] * s * s, d._off * s[:-1] * s[1:],
+                                    select="i", select_range=(0, 0))[0]
+    assert 1e-9 < t_bottom < 1e-7
+    mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 1])
+    assert mu[0] < -0.99 and 0 < mu[1] < 0.01
+    assert ground_state(d).lambda0 == pytest.approx(-mu[0], rel=1e-9)
