@@ -113,8 +113,10 @@ class Discretization:
         y[:V + 1] = 0.0
         np.multiply(off, x[V:-1], out=y[V + 1:])
         y[pos] += coef * x[ends]
-        y += diag * x
-        y[V:-1] += off * x[V + 1:]
+        t = diag * x   # one scratch vector for both products
+        y += t
+        t = np.multiply(off, x[V + 1:], out=t[:off.size])
+        y[V:-1] += t
         np.add.at(y, ends, coef * x[pos])
         return y
 
@@ -207,8 +209,9 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
     """Grid and form assembly on a grid that check_grid accepts."""
     cells = check_grid(len(g.vertices), [(e.grid_length, 1) for e in g.edges], target_h)
     vertex_index = {v.id: i for i, v in enumerate(g.vertices)}
-    next_free = len(g.vertices)
-    grids = []
+    n_nodes = len(g.vertices) + sum(n - 1 for n in cells)
+    m, diag_k, diag_w = np.zeros(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes)
+    grids, next_free = [], len(g.vertices)
     for e, n_cells in zip(g.edges, cells):
         length = e.grid_length
         h = length / n_cells
@@ -216,25 +219,19 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
         gidx = np.empty(n_cells + 1, dtype=np.int64)
         gidx[0] = vertex_index[e.frm]
         gidx[1:-1] = np.arange(next_free, next_free + n_cells - 1)
-        next_free += n_cells - 1
         gidx[-1] = -1 if e.is_external else vertex_index[e.to]
         grids.append(EdgeGrid(edge_id=e.id, h=h, x=x, gidx=gidx))
-    n_nodes = next_free
-
-    m = np.zeros(n_nodes)
-    diag_k = np.zeros(n_nodes)
-    diag_w = np.zeros(n_nodes)
-    for e, eg in zip(g.edges, grids):
-        inv = 1.0 / eg.h
-        ga, gb = eg.gidx[:-1], eg.gidx[1:]
-        np.add.at(diag_k, ga[ga >= 0], inv)
-        np.add.at(diag_k, gb[gb >= 0], inv)
-
-        w = np.full(eg.x.size, eg.h)
-        w[0] = w[-1] = eg.h / 2.0
-        keep = eg.gidx >= 0
-        np.add.at(m, eg.gidx[keep], w[keep])
-        np.add.at(diag_w, eg.gidx[keep], (e.potential.values_at(eg.x) * w)[keep])
+        # the interior is one index block; only the vertex ends accumulate,
+        # edge by edge, in the order a scatter over the edges would add them
+        inv, w = 1.0 / h, e.potential.values_at(x)
+        inner = slice(next_free, next_free + n_cells - 1)
+        next_free = inner.stop
+        m[inner], diag_k[inner], diag_w[inner] = h, inv + inv, w[1:-1] * h
+        for node, value in ((gidx[0], w[0]), (gidx[-1], w[-1])):
+            if node >= 0:
+                m[node] += h / 2.0
+                diag_k[node] += inv
+                diag_w[node] += value * (h / 2.0)
 
     diag_alpha = np.zeros(n_nodes)
     for v in g.vertices:
@@ -300,12 +297,11 @@ class Elimination:
         # each edge's coupling at its j-th end; a graph of half-lines has no
         # second column (a half-line's far end couples to nothing).  Z sits
         # beside x_I in one buffer [x_V | x_I | Z], as factor_solve's ?gtsv
-        # takes them; _bt keeps B^T, which each factor restores Z to
+        # takes them; each factor restores Z to B^T, nonzero at _bt_at
         self._cols = cols = 2 if d._coef[:, 1].any() else 1
         self._buf = np.empty(n + cols * (n - self.V), self.dtype)
         self._R = self._buf[self.V:].reshape((n - self.V, cols + 1), order="F")
-        self._bt = np.zeros((n - self.V, cols), self.dtype, order="F")
-        self._bt[d._pos[:, :cols], np.arange(cols)] = d._coef[:, :cols]
+        self._bt_at = d._pos[:, :cols], np.arange(1, cols + 1)
         self._into_s = (d._ends[:, :, None] * self.V + d._ends[:, None, :cols]).ravel()
         self.factorizations = 0   # refactors and factor_solves into this storage
 
@@ -313,11 +309,16 @@ class Elimination:
         """Factor A + diag(shift) into this storage, replacing the last factor."""
         V, (diag, big) = self.V, self._load(shift)
         self.definite = False
-        if self._pttrf is not None:   # on copies: a failed attempt leaves diag intact
-            dt, e, info = self._pttrf(diag[V:], self._off)
+        if self._pttrf is not None:   # in place: a failed attempt reloads diag
+            np.copyto(self._dl, self._off)
+            dt, e, info = self._pttrf(diag[V:], self._dl, overwrite_d=1, overwrite_e=1)
             self.definite = info == 0
             self._T, self._trs = (dt, e), self._pttrs
-        if not self.definite:
+            if not self.definite:
+                np.add(self._a, shift, out=diag)
+        if not self.definite:   # ?gttrf overwrites T's off-diagonals: restore them
+            np.copyto(self._dl, self._off)
+            np.copyto(self._du, self._off)
             dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
                                                    overwrite_d=1, overwrite_du=1)
             self._T, self._trs = (dl, dt, du, du2, ipiv), self._gttrs
@@ -332,6 +333,8 @@ class Elimination:
         V, (diag, big) = self.V, self._load(shift)
         x = np.multiply(w, u, out=self._buf[:self.d.n_nodes])
         self.definite, self._T = False, None
+        np.copyto(self._dl, self._off)
+        np.copyto(self._du, self._off)
         _, dt, _, R, info = self._gtsv(self._dl, diag[V:], self._du, self._R, overwrite_dl=1,
                                        overwrite_d=1, overwrite_du=1, overwrite_b=1)
         self._schur(diag, big, None if info > 0 else dt, R[:, 1:])
@@ -342,11 +345,10 @@ class Elimination:
         return x
 
     def _load(self, shift):
-        """A + diag(shift)'s diagonal and max modulus; B^T and T's off-diagonals restored."""
+        """A + diag(shift)'s diagonal and max modulus; B^T restored."""
         self.shift, self.factorizations = shift, self.factorizations + 1
-        np.copyto(self._R[:, 1:], self._bt)
-        np.copyto(self._dl, self._off)
-        np.copyto(self._du, self._off)
+        self._R[:, 1:] = 0.0
+        self._R[self._bt_at] = self.d._coef[:, :self._cols]
         diag = np.add(self._a, shift, out=self._diag)
         return diag, np.abs(diag, out=self._abs).max()
 
@@ -371,23 +373,32 @@ class Elimination:
         """Overwrite x, of shape (n, k), with the solution, from y = T^{-1} x_I
         (solved with the kept factor of T unless given)."""
         V, d = self.V, self.d
-        if y is None:
-            y = self._trs(*self._T, x[V:], overwrite_b=1)[0]
+        if y is None:   # a column of x is contiguous, so LAPACK solves it in place
+            y = x[V:]
+            for k in range(x.shape[1]):
+                col = self._trs(*self._T, y[:, k], overwrite_b=1)[0]
+                if not np.may_share_memory(col, y):
+                    y[:, k] = col
         r = x[:V].copy()
         np.add.at(r, d._ends, self._neg * y[d._pos])
         x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
         for j in range(self._cols):
             for k in range(x.shape[1]):
-                y[:, k] -= self._Z[:, j] * np.repeat(x_v[d._ends[:, j], k], d._sizes)
+                z = np.repeat(x_v[d._ends[:, j], k], d._sizes)
+                y[:, k] -= np.multiply(self._Z[:, j], z, out=z)
         if not np.may_share_memory(y, x):   # overwrite_b is a request, not a promise
             x[V:] = y
         return x
 
     def extend(self, y: np.ndarray) -> np.ndarray:
         """x = (y, -Z y), which A + diag(shift) maps to (S y, 0), for vertex values y."""
-        d = self.d
-        return np.concatenate([y, -sum(self._Z[:, j] * np.repeat(y[d._ends[:, j]], d._sizes)
-                                       for j in range(self._cols))])
+        d, x = self.d, np.empty(self.d.n_nodes, self.dtype)
+        x[:self.V] = y
+        np.multiply(self._Z[:, 0], np.repeat(-y[d._ends[:, 0]], d._sizes), out=x[self.V:])
+        if self._cols == 2:
+            z = np.repeat(y[d._ends[:, 1]], d._sizes)
+            x[self.V:] -= np.multiply(self._Z[:, 1], z, out=z)
+        return x
 
     def solve_in_place(self, x: np.ndarray) -> None:
         """Overwrite x, of shape (n, k) and the factor's dtype, with the
@@ -418,9 +429,9 @@ class Elimination:
         them (?gttrf's pivots do not: dstebz over (-inf, 0]).  S's come from
         eigh, which also keeps S's lowest eigenpair as ``lowest``."""
         V, d, in_t = self.V, self.d, 0
-        if not self.definite:
+        if not self.definite:   # abstol inf: the end points' Sturm counts, and no bisection
             (stebz,) = _lapack(("stebz",), float)
-            in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, 0.0,
+            in_t = stebz(d._diag[V:] + self.shift[V:], d._off, 1, -np.inf, 0.0, 1, 1, np.inf,
                          "E")[0]
         lam, vec = np.linalg.eigh(self._S)
         self.lowest = lam[0], vec[:, 0]

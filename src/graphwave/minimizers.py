@@ -134,7 +134,9 @@ def minimize(
 
     Default start is sqrt(c) psi0 (which sits in the ball whenever the
     problem is feasible); every iterate is renormalized to mass c exactly
-    and monitored against the ball.  Converges when the stationary residual
+    and monitored against the ball.  The descent runs in the start's dtype,
+    real from the default start and complex from a complex init; phi is
+    complex128 either way.  Converges when the stationary residual
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
     Raises DomainError (p not in [5, errors.MAX_EXPONENT], c <= 0, r, tau or
@@ -155,8 +157,10 @@ def minimize(
             f"mass c={c:.6g} exceeds the feasibility bound r/lambda0={c_max:.6g}: "
             "the sphere does not meet the ball"
         )
-    # no name outlives the start: an array kept through the descent grows its peak memory
-    u = (ground.psi0.values * math.sqrt(c) if init is None else init.values).astype(np.complex128)
+    # the default start is real, and the descent runs in its dtype; no name
+    # outlives the start: an array kept through the descent grows its peak memory
+    u = (ground.psi0.values * math.sqrt(c) if init is None
+         else init.values.astype(np.result_type(init.values, float)))
     u = rescale_to_mass(GraphFunction(d, u), c,
                         "the default start" if init is None else "init").values
     try:
@@ -167,7 +171,7 @@ def minimize(
         raise exc.with_traceback(None)
 
     result = MinimizerResult(
-        phi=GraphFunction(d, u),
+        phi=GraphFunction(d, u.astype(np.complex128, copy=False)),
         c=c,
         r=r,
         energy=s.energy,
@@ -212,15 +216,20 @@ class _Iterate(NamedTuple):
 
 
 def _measure(d, p, c, lam0, u) -> _Iterate:
+    # in place where it can be: a fresh vector costs page faults on large grids
     m = d.m
-    Au = d.apply(u)
-    abs_u = np.abs(u)
-    abs_pow = abs_u ** (p - 1.0)
+    rvec = d.apply(u)
+    form = float(np.real(np.vdot(u, rvec)))
+    abs_pow = np.abs(u)
+    abs_pow **= p - 1.0
     nonlin = abs_pow * u
-    form = float(np.real(np.vdot(u, Au)))
-    power = float(np.sum(m * abs_u ** (p + 1.0)))
+    scratch = m * u
+    power = float(np.real(np.vdot(nonlin, scratch)))   # sum m |u|^{p+1}
     omega_hat = (power - form) / c
-    rvec = Au / m - nonlin + omega_hat * u
+    rvec /= m
+    rvec -= nonlin
+    rvec += np.multiply(u, omega_hat, out=scratch)
+    residual = math.sqrt(float(np.real(np.vdot(rvec, np.multiply(m, rvec, out=scratch)))) / c)
     return _Iterate(
         abs_pow=abs_pow,
         nonlin=nonlin,
@@ -228,7 +237,7 @@ def _measure(d, p, c, lam0, u) -> _Iterate:
         omega_hat=omega_hat,
         energy=0.5 * form - power / (p + 1.0),
         g_sq=form + 2.0 * lam0 * c,
-        residual=math.sqrt(float(np.sum(m * np.abs(rvec) ** 2)) / c),
+        residual=residual,
     )
 
 
@@ -265,14 +274,14 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
         if residual < next_polish:
             while next_polish > residual:
                 next_polish /= 10.0
-            polished = _newton(d, p, c, r, lam0, tol, u)
+            polished = _newton(d, p, c, r, lam0, tol, u, s)
             if polished is not None:
                 u, s, steps = polished
                 return u, it, s, steps
         if solve is None:   # factored only once the flow takes a step
             solve = factor(d, m / tau)
         v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
-        u = v * math.sqrt(c / float(np.sum(m * np.abs(v) ** 2)))
+        u = v * math.sqrt(c / float(np.real(np.vdot(v, m * v))))
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (residual {residual:.3e})",
         residual=residual,
@@ -280,12 +289,14 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
     )
 
 
-def _newton(d, p, c, r, lam0, tol, u):
+def _newton(d, p, c, r, lam0, tol, u, s):
     """Bordered Newton steps (Keller) on F(v, omega) = A v + omega m v -
-    m |v|^{p-1} v = 0 with sum m v^2 = c, from the flow iterate u.
+    m |v|^{p-1} v = 0 with sum m v^2 = c, from the flow iterate u and its
+    measurement s, both gauged to a real v.
 
-    Each step factors J = A + diag(omega_hat m - p m |v|^{p-1}), solves
-    J a = -F and J b = m v, and moves v by a - domega b, with domega fixing
+    Each step refactors J = A + diag(omega_hat m - p m |v|^{p-1}) into the
+    attempt's one real factor, solves J a = -F and J b = m v in one
+    two-column buffer, and moves v by a - domega b, with domega fixing
     the mass to first order; v is then renormalized to mass c.  A step is
     kept only if it is finite, stays in B(r), lowers the residual (the
     first step of the attempt need not) and does not raise the energy by
@@ -298,25 +309,37 @@ def _newton(d, p, c, r, lam0, tol, u):
     m = d.m
     k = int(np.argmax(np.abs(u)))
     phase = u[k] / abs(u[k])
-    v = u * np.conj(phase)
-    if np.max(np.abs(v.imag)) > 1e-8 * abs(u[k]):
-        return None
-    v = v.real
-    s = _measure(d, p, c, lam0, v)
-    steps = 0
+    v, nonlin, rvec = (x * np.conj(phase) for x in (u, s.nonlin, s.rvec))
+    if np.iscomplexobj(v):
+        if np.max(np.abs(v.imag)) > 1e-8 * abs(u[k]):
+            return None
+        v, nonlin, rvec = v.real, nonlin.real, rvec.real
+    s = s._replace(nonlin=nonlin, rvec=rvec)
+    rhs = np.empty((d.n_nodes, 2), order="F")   # -m rvec and m v, solved in place
+    solve, steps, neg_m = None, 0, -m
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS + 1):
-            mv = m * v
+            shift = s.abs_pow * -p
+            shift += s.omega_hat
+            shift *= m
             try:
-                solve = factor(d, s.omega_hat * m - p * m * s.abs_pow)
+                if solve is None:
+                    solve = factor(d, shift)
+                else:
+                    solve.refactor(shift)
             except DomainError:
                 return None
             if s.residual <= tol:
                 return (phase * v, s, steps) if solve.n_negative() == 1 else None
-            a, b = solve(np.column_stack([-m * s.rvec, mv])).T
+            mv = m * v
+            np.multiply(neg_m, s.rvec, out=rhs[:, 0])
+            rhs[:, 1] = mv
+            solve.solve_in_place(rhs)
+            a, b = rhs.T
             domega = (mv @ a + (mv @ v - c) / 2.0) / (mv @ b)
-            w = v + a - domega * b
-            w *= np.sqrt(c / np.sum(m * w * w))
+            w = v + a
+            w -= np.multiply(b, domega, out=b)
+            w *= np.sqrt(c / (np.multiply(m, w, out=mv) @ w))
             t = _measure(d, p, c, lam0, w)
             # the first step may raise the residual: from a loose flow iterate
             # it can lower the energy a long way and still land near the state

@@ -5,12 +5,13 @@ second eigenvalue.
 Solves A psi = mu M psi (M = diagonal lumped mass) with mesh.factor's O(n)
 edge/vertex elimination of A - sigma M.  ground_state runs Newton on the
 vertex secular equation: the lowest eigenvalue of the V x V Schur
-complement S(sigma) vanishes at the bottom of the spectrum, and each step,
-one refactor, is a Rayleigh quotient that closes in on it from the right
-as the factor's inertia shows; inverse iteration on the last factor then
-polishes the eigenvector.  Where an edge's own spectrum lies below 0, or
-the polish finds another eigenvalue, power iterations from below at shifts
-that the inertia certifies find it.
+complement S(sigma) vanishes at the bottom of the spectrum.  Each step is
+one refactor; below 0 the steps are taken in kappa = sqrt(-sigma), in which
+a half-line's share of S is nearly linear, and the factor's inertia tells
+on which side of the root each lands.  Inverse iteration on the last
+factor then polishes the eigenvector.  Where an edge's own spectrum lies
+below 0, or the polish finds another eigenvalue, power iterations from
+below at shifts that the inertia certifies find it.
 spectral_gap runs Lanczos on one fixed shift.
 """
 from __future__ import annotations
@@ -45,10 +46,15 @@ class GroundStatePair:
 def _shift_invert_smallest(d, tol, floor):
     """The smallest eigenvalue mu0 of A psi = mu M psi, as (mu, vector,
     iterations, residual, factorizations), iterations counting Newton steps
-    and solves.  Newton steps on mu_min(S(sigma)) = 0 from sigma = 0, each
-    the Rayleigh quotient of x = (y, -Z y) for S's lowest eigenvector y,
-    are taken while their factor keeps T definite, and end below
-    _DELTA (|sigma| + 1); solves on the last factor then polish x.  Where T
+    and solves.  Newton steps on mu_min(S(sigma)) = 0 from sigma = 0 are
+    taken while their factor keeps T definite, and end below
+    _DELTA (|sigma| + 1); solves on the last factor then polish
+    x = (y, -Z y), for S's lowest eigenpair (mu_S, y).  The first step is
+    the Rayleigh quotient of x, sigma + mu_S / ||x||_M^2; from sigma < 0 the
+    step is Newton's in kappa = sqrt(-sigma),
+    kappa - mu_S / (2 kappa ||x||_M^2), which can overshoot the root, and a
+    step from the left aims _DELTA (|sigma| + 1) / 2 short of it, so that its
+    factor stays nonsingular.  Where T
     is indefinite at 0 or A singular, solves start from the constant vector
     below Gershgorin's bound min_i (A 1)_i / m_i, and after an iterate of
     Rayleigh quotient mu and eta = ||M^{-1/2} (A w - mu M w)|| take the
@@ -69,7 +75,9 @@ def _shift_invert_smallest(d, tol, floor):
             spare.refactor(-sigma * m)
         except DomainError:
             return None
-        return spare.n_negative()
+        # with T indefinite, so is A - sigma M (interlacing), and no step is
+        # taken from such a factor: 1 stands for "at least one", without a Sturm count
+        return spare.n_negative() if spare.definite else 1
 
     under = trial(0.0)   # eigenvalues below sigma
     unbound, newton, switch, res = under == 0, bool(under) and spare.definite, True, np.inf
@@ -82,14 +90,24 @@ def _shift_invert_smallest(d, tol, floor):
         if newton:
             x = cur.extend(cur.lowest[1])
             norm2 = (m * x) @ x
-            v, step = x / np.sqrt(norm2), cur.lowest[0] / norm2
-            neg = trial(sigma + step) if abs(step) > _DELTA * (abs(sigma) + 1.0) else None
+            step = cur.lowest[0] / norm2
+            if sigma < 0:
+                kappa = np.sqrt(-sigma)
+                step = -(kappa - cur.lowest[0] / (2.0 * kappa * norm2)) ** 2 - sigma
+            least = _DELTA * (abs(sigma) + 1.0)
+            if step > least:   # from the left: short of the root, where A - sigma M is singular
+                step -= least / 2.0
+            neg = trial(sigma + step) if abs(step) > least else None
             newton = neg is not None and spare.definite
             if newton:
                 cur, spare, sigma, under = spare, cur, sigma + step, neg
+            else:   # the polish starts from x
+                v = x / np.sqrt(norm2)
             continue
-        w = cur(m * v)
-        norm = np.sqrt((m * w) @ w)
+        w = m * v
+        cur.solve_in_place(w[:, None])
+        mw = m * w
+        norm = np.sqrt(mw @ w)
         if not 0 < norm < np.inf:
             raise DomainError(
                 f"the eigen-iterate's M-norm is {norm} at iteration {it}: float "
@@ -97,11 +115,13 @@ def _shift_invert_smallest(d, tol, floor):
         if unbound:
             raise AssumptionError("no negative ground energy: A's inertia shows no bound state")
         w /= norm
+        mw /= norm
         Aw = d.apply(w)
         mu = (w @ Aw)
-        rvec = Aw - mu * (m * w)
-        res = float(np.linalg.norm(rvec) / np.linalg.norm(m * w))
-        eta = np.sqrt(np.sum(rvec**2 / m))
+        rvec = Aw
+        rvec -= mu * mw
+        res = float(np.linalg.norm(rvec) / np.linalg.norm(mw))
+        eta = np.sqrt(rvec @ np.divide(rvec, m, out=mw))
         v = w
         done = res <= tol and (mu < 0 or res <= floor or eta < mu)
         proposal = mu - 2.0 * eta - _DELTA * (abs(mu) + 1.0)
@@ -130,17 +150,19 @@ def ground_state(d: Discretization, tol: float = 1e-10) -> GroundStatePair:
     Raises DomainError unless 0 < tol < inf, and AssumptionError when the
     ground energy is not negative (no bound state: the model requires
     lambda0 > 0); that verdict is drawn only where the inertia of A or the
-    residual proves it, at any tol.
+    residual proves it, at any tol, or where the bottom of the spectrum lies
+    within the round-off bound 2 eps max|diag A| / min m of 0, where its
+    sign means nothing.
     """
     if not 0 < tol < np.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     floor = float(2.0 * np.finfo(float).eps * np.max(np.abs(d._diag)) / np.min(d.m))
     tol = max(tol, floor)
     mu0, v0, it0, res0, factorizations = _shift_invert_smallest(d, tol, floor)
-    if mu0 >= 0:
+    if not mu0 < -floor:
         raise AssumptionError(
-            "no negative ground energy: the bottom of the spectrum is "
-            f"{mu0:.3e} >= 0, so there is no bound state"
+            f"no negative ground energy: the bottom of the spectrum is {mu0:.3e}, not below "
+            f"the round-off bound -{floor:.1e}, so there is no bound state"
         )
     # deterministic sign: make the largest-magnitude entry positive
     v0 = v0 * np.sign(v0[np.argmax(np.abs(v0))])

@@ -435,6 +435,32 @@ def test_build_numbers_each_edge_interior_contiguously(d):
 
 
 @settings(max_examples=60, deadline=None)
+@given(d=st.one_of(small_graphs(), graphs_with_potentials()))
+def test_build_assembles_as_a_scatter_over_the_edges_does(d):
+    # the reference adds every node's share edge by edge, with np.add.at;
+    # build fills each edge's interior block and accumulates only the vertex
+    # ends, in the same order, so the arrays are equal bit for bit (the
+    # self-loops of small_graphs add twice to one vertex)
+    g, n = d.graph, d.n_nodes
+    m, diag_k, diag_w = np.zeros(n), np.zeros(n), np.zeros(n)
+    for e, eg in zip(g.edges, d.edge_grids):
+        ga, gb = eg.gidx[:-1], eg.gidx[1:]
+        np.add.at(diag_k, ga[ga >= 0], 1.0 / eg.h)
+        np.add.at(diag_k, gb[gb >= 0], 1.0 / eg.h)
+        w = np.full(eg.x.size, eg.h)
+        w[0] = w[-1] = eg.h / 2.0
+        keep = eg.gidx >= 0
+        np.add.at(m, eg.gidx[keep], w[keep])
+        np.add.at(diag_w, eg.gidx[keep], (e.potential.values_at(eg.x) * w)[keep])
+    diag_alpha = np.zeros(n)
+    for v in g.vertices:
+        diag_alpha[d.vertex_index[v.id]] -= v.alpha
+    np.testing.assert_array_equal(d.m, m)
+    np.testing.assert_array_equal(d._diag_k, diag_k)
+    np.testing.assert_array_equal(d._diag, diag_k + diag_w + diag_alpha)
+
+
+@settings(max_examples=60, deadline=None)
 @given(d=small_graphs(), seed=st.integers(0, 2**32 - 1), n_negative=st.integers(1, 3),
        pull=st.booleans())
 def test_factor_matches_dense_solve_indefinite(d, seed, n_negative, pull):

@@ -320,6 +320,28 @@ def test_flow_is_factored_only_when_it_steps(monkeypatch, disc_h02, ground_h02):
     assert flow_factors(1.0) == 1
 
 
+def test_newton_measures_and_factors_once_per_step(monkeypatch, disc_h01, ground_h01):
+    # at the benchmark minimizer's setting the flow converges at iterate 1 by
+    # one Newton attempt: the flow's measurement starts it, each step is
+    # measured once, and one factor is refactored for all its steps
+    calls = {"measure": 0, "attempts": 0, "eliminations": 0}
+    measure, newton, init = minimizers._measure, minimizers._newton, mesh.Elimination.__init__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(minimizers, "_measure", counted("measure", measure))
+    monkeypatch.setattr(minimizers, "_newton", counted("attempts", newton))
+    monkeypatch.setattr(mesh.Elimination, "__init__", counted("eliminations", init))
+    res = minimize(disc_h01, 6.0, C_REF_P6, 1.0, tau=1.0, tol=1e-9, ground=ground_h01)
+    assert res.iterations == 1 and res.newton_steps >= 1 and calls["attempts"] == 1
+    assert calls["measure"] == res.iterations + res.newton_steps
+    assert calls["eliminations"] == calls["attempts"]
+
+
 def test_newton_keeps_the_ball_exit(disc_h02, ground_h02):
     # at 0.8 omega_hi the loose flow is still inside B(1), and Newton from it
     # would land on a stationary point with ||u||_G^2 = 1.146; the flow,
@@ -350,11 +372,11 @@ def test_newton_declines_an_iterate_without_constant_phase(monkeypatch, disc_h02
     # result is the minimizer reached from sqrt(c) psi0
     attempts = []
 
-    def recording_newton(d, p, c, r, lam0, tol, u):
+    def recording_newton(d, p, c, r, lam0, tol, u, s):
         k = int(np.argmax(np.abs(u)))
         gauged = u * abs(u[k]) / u[k]
         attempts.append(float(np.max(np.abs(gauged.imag))) / abs(u[k]))
-        return newton(d, p, c, r, lam0, tol, u)
+        return newton(d, p, c, r, lam0, tol, u, s)
 
     newton = minimizers._newton
     monkeypatch.setattr(minimizers, "_newton", recording_newton)

@@ -66,6 +66,29 @@ def test_newton_keeps_the_flow_outcome(problem):
     assert h1_rel(polished.phi, flow.phi) <= 1e-5
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=small_graphs(), p=st.floats(5.0, 7.0), fraction=st.floats(0.05, 0.9))
+def test_real_descent_matches_the_complex_reference(d, p, fraction):
+    # the default start sqrt(c) psi0 is real, and minimize descends in real
+    # arithmetic; the same start passed as a complex init takes the complex
+    # path, the reference
+    ground = ground_state(d)
+    c = fraction / ground.lambda0
+    real = outcome(d, p, c, ground)
+    init = GraphFunction(d, math.sqrt(c) * ground.psi0.values.astype(complex))
+    cplx = outcome(d, p, c, ground, init=init)
+    if isinstance(cplx, type):
+        assert real is cplx
+        return
+    assert not isinstance(real, type), real
+    assert real.phi.values.dtype == cplx.phi.values.dtype == np.complex128
+    assert real.omega == pytest.approx(cplx.omega, rel=1e-12, abs=0.0)
+    assert real.energy == pytest.approx(cplx.energy, rel=1e-12, abs=0.0)
+    assert (real.iterations, real.newton_steps) == (cplx.iterations, cplx.newton_steps)
+    flags = {k for k in real.diagnostics if k.endswith("_ok")}
+    assert {k: real.diagnostics[k] for k in flags} == {k: cplx.diagnostics[k] for k in flags}
+
+
 @settings(max_examples=25, deadline=None)
 @given(problem=bound_state_problems(), k=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
 def test_minimize_start_is_rescaled_exactly(problem, k, seed):
