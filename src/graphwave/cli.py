@@ -13,7 +13,6 @@ import datetime
 import hashlib
 import json
 import math
-import numbers
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .errors import (
     DomainError,
     FeasibilityError,
     GraphWaveError,
+    os_action,
 )
 
 # numpy, the library modules and the process pool are imported where used,
@@ -54,20 +54,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=float))
 
 
-def _csv_cell(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, numbers.Integral):   # int and numpy's integer types
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(path: Path, columns: dict) -> None:
+    """A CSV of the named columns, as plain Python scalars (floats print with repr)."""
+    import numpy as np
+    with os_action(f"write {path}"), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(x) for x in row])
+        w.writerow(columns)
+        w.writerows(zip(*(np.asarray(col).tolist() for col in columns.values())))
 
 
 def ProcessPoolExecutor(max_workers):
@@ -83,15 +76,14 @@ def _prepare(args):
     place of the graph config."""
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with os_action(f"create output directory {out}"):
+        out.mkdir(parents=True, exist_ok=True)
+    if getattr(args, "dump_psi0", None) and not (out / args.dump_psi0).parent.is_dir():
+        raise ConfigurationError(f"cannot write {out / args.dump_psi0}: no such directory")
     graph_path = getattr(args, "graph", None)
     if graph_path is not None:
-        try:
+        with os_action(f"read graph config {graph_path}"):
             text = Path(graph_path).read_text()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read graph config {graph_path}: {exc.strerror}"
-            ) from None
         from .graphs import parse_graph
         g = parse_graph(text)
     else:
@@ -106,7 +98,7 @@ def _prepare(args):
         "seed": args.seed,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out / "manifest.json", "w") as fh:
+    with os_action(f"write {out / 'manifest.json'}"), open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     return out, g
@@ -175,9 +167,9 @@ def _cmd_closed_form(args, out, _) -> dict:
 
 def _cmd_mass_curve(args, out, _) -> dict:
     from . import starwaves
-    omegas = _geometric_grid(args.omega_range, "--omega-range")
-    rows = [(w, starwaves.mass_curve(args.N, args.gamma, args.p, float(w))) for w in omegas]
-    _write_csv(out / "mass_curve.csv", ["omega", "mass"], rows)
+    omegas = _geometric_grid(args.omega_range, "--omega-range").tolist()
+    masses = [starwaves.mass_curve(args.N, args.gamma, args.p, w) for w in omegas]
+    _write_csv(out / "mass_curve.csv", {"omega": omegas, "mass": masses})
     window = starwaves.monotone_window(args.N, args.gamma, args.p)
     return {
         "n_points": len(omegas),
@@ -191,11 +183,8 @@ def _cmd_evolve(args, out, g) -> dict:
     d = mesh.build(g, args.h)
     u0 = mesh.load_function_csv(d, args.init)
     _, trace = evolution.evolve(d, args.p, u0, args.dt, args.T, sample_every=args.sample_every)
-    _write_csv(
-        out / "trace.csv",
-        ["t", "mass", "energy", "sup_norm"],
-        zip(trace.times, trace.mass, trace.energy, trace.sup),
-    )
+    _write_csv(out / "trace.csv", {"t": trace.times, "mass": trace.mass,
+                                   "energy": trace.energy, "sup_norm": trace.sup})
     m = np.array(trace.mass)
     e = np.array(trace.energy)
     return {
@@ -218,11 +207,9 @@ def _cmd_stability(args, out, g) -> dict:
         d, args.p, phi_ref, delta=args.delta, t_final=args.T, dt=args.dt,
         mode=args.mode, bump=bump, seed=args.seed,
     )
-    _write_csv(
-        out / "stability.csv",
-        ["t", "orbit_distance", "mass_drift", "energy_drift"],
-        zip(trace.times, trace.orbit_distance, trace.mass_drift, trace.energy_drift),
-    )
+    _write_csv(out / "stability.csv", {
+        "t": trace.times, "orbit_distance": trace.orbit_distance,
+        "mass_drift": trace.mass_drift, "energy_drift": trace.energy_drift})
     return {
         "sup_orbit_distance": float(np.max(trace.orbit_distance)),
         "ref_h1_norm": math.sqrt(mesh.h1_norm_sq(phi_ref)),
@@ -340,7 +327,7 @@ def _cmd_sweep(args, out, g) -> dict:
     else:
         results = [_sweep_point(t) for t in tasks]
     columns = ["c", "omega", "energy", "g_norm_sq", "iterations", "structure_ok", "status"]
-    _write_csv(out / "sweep.csv", columns, ([r[k] for k in columns] for r in results))
+    _write_csv(out / "sweep.csv", {k: [r[k] for r in results] for k in columns})
     n_ok = sum(1 for r in results if r["status"] == "ok")
     return {
         "lambda0": ground.lambda0,
@@ -460,11 +447,14 @@ def dispatch(argv) -> int:
     if getattr(args, "dt", "unset") is None:
         args.dt = args.h / 2.0
     try:
-        payload = args.func(args, *_prepare(args))
+        try:
+            payload = args.func(args, *_prepare(args))
+        except ConvergenceError as exc:   # a history it cannot write is a ConfigurationError
+            if exc.history:   # one residual per iteration, for diagnosing the run
+                _write_csv(Path(args.out) / "convergence_history.csv",
+                           {"iteration": range(1, len(exc.history) + 1), "residual": exc.history})
+            raise
     except ConvergenceError as exc:
-        if exc.history:   # one residual per iteration, for diagnosing the run
-            _write_csv(Path(args.out) / "convergence_history.csv", ["iteration", "residual"],
-                       enumerate(exc.history, 1))
         _emit({"error": str(exc), "error_type": "ConvergenceError", "residual": exc.residual})
         return 2
     except GraphWaveError as exc:

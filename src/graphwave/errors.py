@@ -1,10 +1,11 @@
-"""Typed error hierarchy shared by all graphwave modules, and the one
-domain rule they all apply: the range of the nonlinearity exponent p.
+"""Typed error hierarchy shared by all graphwave modules, and the rules they
+all apply: the range of the nonlinearity exponent p, and a refused file access.
 
 The CLI maps these onto exit codes: problem-domain errors (bad input,
 infeasible constraint, leaving the energy ball) exit 1, solver
 non-convergence exits 2.
 """
+from contextlib import contextmanager
 
 # largest nonlinearity exponent p accepted.  Up to it |u|^{p-1} stays a
 # normal float for every |u| >= 1e-6, and the closed-form profile's
@@ -28,7 +29,8 @@ class AssumptionError(GraphWaveError):
 class ConfigurationError(GraphWaveError):
     """Run settings are unusable: a numerical parameter (grid step too large
     or too small for the node limit, too many vertices, worker count out of
-    range) or an input file that cannot be read."""
+    range), an input file that cannot be read or an output location that
+    cannot be written."""
 
 
 class DomainError(GraphWaveError):
@@ -66,6 +68,16 @@ def check_exponent(p, what: str, lowest: float | None = None) -> None:
             and p <= MAX_EXPONENT):
         low = "1 < p" if lowest is None else f"{lowest:g} <= p"
         raise DomainError(f"{what} needs {low} <= {MAX_EXPONENT:g}, got p={p!r}")
+
+
+@contextmanager
+def os_action(action: str):
+    """Turn an OSError in the block, the OS refusing ``action`` (which names
+    its file), into the ConfigurationError "cannot <action>: <reason>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot {action}: {exc.strerror}") from None
 
 
 class BlowUpError(GraphWaveError):

@@ -127,10 +127,6 @@ class MetricGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    @property
-    def total_length(self) -> float:
-        return sum(e.grid_length for e in self.edges)
-
     def is_star(self) -> bool:
         """Single vertex, every edge an external half-line attached to it."""
         return (
@@ -224,14 +220,6 @@ def make_star(spec: StarGraphSpec) -> MetricGraph:
         for i in range(spec.n_edges)
     )
     return MetricGraph(vertices=(v0,), edges=edges).validate()
-
-
-def default_truncation(lambda0_estimate: float) -> float:
-    """Truncation long enough that the bound-state tail e^{-sqrt(lambda0) x}
-    is far below discretization error."""
-    if not lambda0_estimate > 0:
-        raise DomainError("lambda0 estimate must be positive")
-    return 20.0 / math.sqrt(lambda0_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -361,38 +349,3 @@ def serialize_graph(g: MetricGraph) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# potential integrability diagnostics
-# ---------------------------------------------------------------------------
-
-def potential_integrability_report(g: MetricGraph, p: float) -> dict:
-    """Numerically evaluated norms of W = W+ - W- on the truncated graph,
-    by the trapezoid rule on 4096 samples per edge.
-
-    Reports the L^1 and L^inf size of W+ and the L^r norms of W- for
-    r in {1, 1 + 2/(p-1)}; finite sampled potentials always pass, so this
-    is purely diagnostic.
-    """
-    if not 5 <= p < math.inf:
-        raise DomainError(f"integrability report is defined for finite p >= 5, got {p!r}")
-    r_hi = 1.0 + 2.0 / (p - 1.0)
-    wp_l1 = wm_l1 = wm_lr = 0.0
-    wp_linf = 0.0
-    for e in g.edges:
-        x = np.linspace(0.0, e.grid_length, 4096)
-        w = e.potential.values_at(x)
-        w_plus = np.clip(w, 0.0, None)
-        w_minus = np.clip(-w, 0.0, None)
-        wp_l1 += float(np.trapezoid(w_plus, x))
-        wp_linf = max(wp_linf, float(np.max(w_plus, initial=0.0)))
-        wm_l1 += float(np.trapezoid(w_minus, x))
-        wm_lr += float(np.trapezoid(w_minus**r_hi, x))
-    return {
-        "w_plus_l1": wp_l1,
-        "w_plus_linf": wp_linf,
-        "w_minus_l1": wm_l1,
-        "w_minus_lr": wm_lr ** (1.0 / r_hi),
-        "r_exponent": r_hi,
-    }

@@ -27,7 +27,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SchemaError
+from .errors import ConfigurationError, DomainError, SchemaError, os_action
 from .graphs import MetricGraph
 
 __all__ = [
@@ -307,22 +307,27 @@ class Elimination:
 
     def refactor(self, shift: np.ndarray) -> None:
         """Factor A + diag(shift) into this storage, replacing the last factor."""
-        V, (diag, big) = self.V, self._load(shift)
-        self.definite = False
-        if self._pttrf is not None:   # in place: a failed attempt reloads diag
-            np.copyto(self._dl, self._off)
-            dt, e, info = self._pttrf(diag[V:], self._dl, overwrite_d=1, overwrite_e=1)
-            self.definite = info == 0
-            self._T, self._trs = (dt, e), self._pttrs
-            if not self.definite:
-                np.add(self._a, shift, out=diag)
-        if not self.definite:   # ?gttrf overwrites T's off-diagonals: restore them
+        if not self._factor_definite(shift):   # ?gttrf overwrites T's off-diagonals: restore them
             np.copyto(self._dl, self._off)
             np.copyto(self._du, self._off)
-            dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, diag[V:], self._du, overwrite_dl=1,
-                                                   overwrite_d=1, overwrite_du=1)
+            dl, dt, du, du2, ipiv, _ = self._gttrf(self._dl, self._diag[self.V:], self._du,
+                                                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             self._T, self._trs = (dl, dt, du, du2, ipiv), self._gttrs
-        self._schur(diag, big, dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
+            self._schur(dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
+
+    def _factor_definite(self, shift: np.ndarray) -> bool:
+        """refactor where the shift is real and T positive definite, by ?pttrf
+        in place; returns ``definite``.  Otherwise A + diag(shift) is loaded, unfactored."""
+        diag, self.definite = self._load(shift), False
+        if self._pttrf is not None:
+            np.copyto(self._dl, self._off)
+            dt, e, info = self._pttrf(diag[self.V:], self._dl, overwrite_d=1, overwrite_e=1)
+            if info == 0:
+                self.definite, self._T, self._trs = True, (dt, e), self._pttrs
+                self._schur(dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
+            else:   # the failed attempt overwrote the diagonal
+                np.add(self._a, shift, out=diag)
+        return self.definite
 
     def factor_solve(self, shift: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The solution x of (A + diag(shift)) x = w u, for w and u of shape
@@ -330,14 +335,14 @@ class Elimination:
         ?gttrf's and ?gttrs's arithmetic, eliminates T and solves it for B^T
         and w_I u_I together.  It keeps no factor of T, so when refine is
         asked for, this refactors and solves as refactor + solve_in_place."""
-        V, (diag, big) = self.V, self._load(shift)
+        V, diag = self.V, self._load(shift)
         x = np.multiply(w, u, out=self._buf[:self.d.n_nodes])
         self.definite, self._T = False, None
         np.copyto(self._dl, self._off)
         np.copyto(self._du, self._off)
         _, dt, _, R, info = self._gtsv(self._dl, diag[V:], self._du, self._R, overwrite_dl=1,
                                        overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        self._schur(diag, big, None if info > 0 else dt, R[:, 1:])
+        self._schur(None if info > 0 else dt, R[:, 1:])
         if not self.refine:
             return self._eliminate(x[:, None], R[:, :1])[:, 0]
         self.refactor(shift)
@@ -345,16 +350,17 @@ class Elimination:
         return x
 
     def _load(self, shift):
-        """A + diag(shift)'s diagonal and max modulus; B^T restored."""
+        """A + diag(shift)'s diagonal, its max modulus kept; B^T restored."""
         self.shift, self.factorizations = shift, self.factorizations + 1
         self._R[:, 1:] = 0.0
         self._R[self._bt_at] = self.d._coef[:, :self._cols]
         diag = np.add(self._a, shift, out=self._diag)
-        return diag, np.abs(diag, out=self._abs).max()
+        self._big = np.abs(diag, out=self._abs).max()
+        return diag
 
-    def _schur(self, diag, big, dt, Z):
+    def _schur(self, dt, Z):
         """Keep Z and factor S from it; dt, T's pivots, is None where ?gtsv met an exact zero."""
-        V = self.V
+        V, diag, big = self.V, self._diag, self._big
         S = np.diag(diag[:V])    # A's vertex block is diagonal
         np.add.at(S.reshape(-1), self._into_s, (self._neg * Z[self.d._pos]).reshape(-1))
         lu, piv, _ = self._getrf(S)
@@ -536,60 +542,61 @@ def vertex_flux_defect(u: GraphFunction, vertex_id: str) -> complex:
 # ---------------------------------------------------------------------------
 
 def save_function_csv(u: GraphFunction, path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write u as (edge_id, x, re, im) rows, edge by edge, 0 at truncation
+    ends; ConfigurationError naming the path when it cannot be written."""
+    with os_action(f"write function CSV {path}"), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["edge_id", "x", "re", "im"])
-        for eg in u.disc.edge_grids:
-            for xi, gi in zip(eg.x, eg.gidx):
-                val = u.values[gi] if gi >= 0 else 0.0
-                w.writerow([eg.edge_id, repr(float(xi)),
-                            repr(float(np.real(val))), repr(float(np.imag(val)))])
+        for eg in u.disc.edge_grids:   # plain floats, which csv prints with repr
+            val = np.where(eg.gidx >= 0, u.values[eg.gidx], 0.0)
+            w.writerows(zip([eg.edge_id] * eg.x.size, eg.x.tolist(), np.real(val).tolist(),
+                            np.imag(val).tolist()))
 
 
 def load_function_csv(d: Discretization, path) -> GraphFunction:
     """Read a (edge_id, x, re, im) table sampled on exactly this grid, one
-    row per node; a repeated (edge_id, x) or an edge the grid lacks is a
-    SchemaError."""
-    per_edge: dict[str, dict[float, complex]] = {}
+    row per node, its columns found by header name; a repeated (edge_id, x)
+    or an edge the grid lacks is a SchemaError."""
+    with os_action(f"read function CSV {path}"), open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        col = {name: k for k, name in enumerate(next(reader, []))}
+        rows = [row for row in reader if row]   # a blank line is no row
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read function CSV {path}: {exc.strerror}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                edge, x, re, im = (row["edge_id"], float(row["x"]), float(row["re"]),
-                                   float(row["im"]))
-            except (KeyError, TypeError, ValueError):
-                raise SchemaError("function CSV needs columns edge_id,x,re,im") from None
-            if not all(map(math.isfinite, (x, re, im))):
-                raise SchemaError(f"function CSV has a non-finite entry on edge {edge!r} "
-                                  f"at x = {row['x']}")
-            table = per_edge.setdefault(edge, {})
-            if x in table:
-                raise SchemaError(f"function CSV repeats edge {edge!r} at x = {row['x']}")
-            table[x] = re + 1j * im
-    vals = np.zeros(d.n_nodes, dtype=np.complex128)
+        edges, text, *parts = ([row[k] for row in rows]
+                               for k in [col[name] for name in ("edge_id", "x", "re", "im")])
+        x, re, im = (np.array([float(v) for v in c], dtype=float) for c in (text, *parts))
+    except (IndexError, KeyError, ValueError):
+        raise SchemaError("function CSV needs columns edge_id,x,re,im") from None
+    finite = np.isfinite(x) & np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        k = np.argmin(finite)
+        raise SchemaError(f"function CSV has a non-finite entry on edge {edges[k]!r} "
+                          f"at x = {text[k]}")
+    index: dict[str, int] = {}
+    code = np.array([index.setdefault(e, len(index)) for e in edges], dtype=np.intp)
+    order = np.lexsort((x, code))   # by edge, then x; stable, so a repeat follows its first row
+    code, xs = code[order], x[order]
+    repeat = order[1:][(code[1:] == code[:-1]) & (xs[1:] == xs[:-1])]   # the later rows
+    if repeat.size:
+        k = repeat.min()
+        raise SchemaError(f"function CSV repeats edge {edges[k]!r} at x = {text[k]}")
+    ys, vals = (re + 1j * im)[order], np.zeros(d.n_nodes, dtype=np.complex128)
     for eg in d.edge_grids:
-        table = per_edge.get(eg.edge_id)
-        if table is None:
+        if eg.edge_id not in index:
             raise SchemaError(f"function CSV is missing edge {eg.edge_id!r}")
-        xs, ys = (np.array(col) for col in zip(*sorted(table.items())))
-        keep = eg.gidx >= 0
-        x = eg.x[keep]
+        first, end = np.searchsorted(code, [index[eg.edge_id], index[eg.edge_id] + 1])
+        table, keep = xs[first:end], eg.gidx >= 0
+        at = eg.x[keep]
         # the nearest tabulated x to a node is one of its two sorted neighbours
-        hi = np.minimum(np.searchsorted(xs, x), len(xs) - 1)
+        hi = np.minimum(np.searchsorted(table, at), len(table) - 1)
         lo = np.maximum(hi - 1, 0)
-        k = np.where(np.abs(xs[hi] - x) < np.abs(xs[lo] - x), hi, lo)
-        bad = np.abs(xs[k] - x) > 1e-9 * (1.0 + np.abs(x))
+        k = np.where(np.abs(table[hi] - at) < np.abs(table[lo] - at), hi, lo)
+        bad = np.abs(table[k] - at) > 1e-9 * (1.0 + np.abs(at))
         if np.any(bad):
-            raise SchemaError(
-                f"function CSV does not match the grid on edge {eg.edge_id!r} "
-                f"near x = {x[np.argmax(bad)]}"
-            )
-        vals[eg.gidx[keep]] = ys[k]
-    unknown = sorted(per_edge.keys() - {eg.edge_id for eg in d.edge_grids})
+            raise SchemaError(f"function CSV does not match the grid on edge {eg.edge_id!r} "
+                              f"near x = {at[np.argmax(bad)]}")
+        vals[eg.gidx[keep]] = ys[first + k]
+    unknown = sorted(index.keys() - {eg.edge_id for eg in d.edge_grids})
     if unknown:
         raise SchemaError(f"function CSV has rows for edge {unknown[0]!r}, "
                           "which the grid does not have")

@@ -72,12 +72,13 @@ def _shift_invert_smallest(d, tol, floor):
 
     def trial(sigma):   # A - sigma M factored into spare: its inertia, None if singular
         try:
-            spare.refactor(-sigma * m)
+            # with T indefinite, so is A - sigma M (interlacing), and no step is taken
+            # from it: 1 stands for "at least one", without ?gttrf or a Sturm count
+            if not spare._factor_definite(-sigma * m):
+                return 1
         except DomainError:
             return None
-        # with T indefinite, so is A - sigma M (interlacing), and no step is
-        # taken from such a factor: 1 stands for "at least one", without a Sturm count
-        return spare.n_negative() if spare.definite else 1
+        return spare.n_negative()
 
     under = trial(0.0)   # eigenvalues below sigma
     unbound, newton, switch, res = under == 0, bool(under) and spare.definite, True, np.inf
@@ -193,7 +194,12 @@ def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
     solve = factor(d, -sigma * m)
     Q = np.empty((min(_MAX_LANCZOS, d.n_nodes), d.n_nodes))
     alpha, beta = np.zeros((2, len(Q)))   # T's diagonal and off-diagonal
-    w = np.random.default_rng(0).standard_normal(d.n_nodes)
+    # the start: splitmix64 (Steele, Lea & Flood 2014) of 1 .. n, uniform in [-1/2, 1/2).
+    # Fixed, like a seeded draw, but no numpy.random; no symmetry of the graph repeats it
+    w = np.arange(1, d.n_nodes + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        w = (w ^ (w >> np.uint64(shift))) * np.uint64(mult)
+    w = (w ^ (w >> np.uint64(31))) / 2.0**64 - 0.5
     b = np.sqrt((m * w) @ w)
     for k in range(len(Q)):
         Q[k] = w / b

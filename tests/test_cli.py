@@ -876,3 +876,106 @@ def test_function_csv_row_of_an_unknown_edge_is_a_schema_error(tmp_path, capsys,
     assert code == 1
     assert payload["error_type"] == "SchemaError"
     assert "'zz'" in payload["error"]
+
+
+def dispatch_json(capsys, argv):
+    """dispatch's exit code and its stdout, which must be one JSON object."""
+    code = dispatch([str(a) for a in argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_out_naming_an_existing_file_is_a_configuration_error(tmp_path, capsys, star_file):
+    # mkdir raised FileExistsError: a traceback, exit 1 and nothing on stdout
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, payload = dispatch_json(capsys, ["spectrum", star_file, "--h", "0.5", "--out", taken])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError" and str(taken) in payload["error"]
+
+
+def test_dump_psi0_into_a_missing_directory_is_refused_before_the_solve(tmp_path, capsys,
+                                                                         star_file, monkeypatch):
+    # the FileNotFoundError came after the whole solve had run
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the --dump-psi0 directory must be checked before the solve")
+
+    monkeypatch.setattr(spectrum, "ground_state", not_reached)
+    out = tmp_path / "s"
+    code, payload = dispatch_json(capsys, ["spectrum", star_file, "--h", "0.5",
+                                           "--dump-psi0", "sub/psi0.csv", "--out", out])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert str(out / "sub" / "psi0.csv") in payload["error"]
+
+
+MASS_CURVE = ["mass-curve", "--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "0.2:0.5:3"]
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (MASS_CURVE, "manifest.json"),
+    (MASS_CURVE, "mass_curve.csv"),   # the table writer
+    (["closed-form", "--N", "3", "--gamma", "1", "--p", "6", "--omega", "1", "--h", "0.5",
+      "--length", "30"], "profile.csv"),   # save_function_csv
+    (["minimize", "STAR", "--p", "6", "--c", "1.5", "--h", "0.05", "--tau", "1", "--tol",
+      "1e-15", "--max-iter", "5"], "convergence_history.csv"),   # written on a ConvergenceError
+], ids=["manifest", "table", "function", "history"])
+def test_an_output_file_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys,
+                                                                         grid_command_inputs,
+                                                                         argv, blocked):
+    # a directory where the file goes: the IsADirectoryError was a traceback
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    argv = [grid_command_inputs / "star3.json" if a == "STAR" else a for a in argv]
+    code, payload = dispatch_json(capsys, [*argv, "--out", out])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert str(out / blocked) in payload["error"]
+
+
+def test_spectrum_leaves_numpy_random_unloaded(tmp_path, grid_command_inputs):
+    # the Lanczos start is a fixed hash of the node numbers, not a seeded draw
+    script = ("import sys\n"
+              "from graphwave.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    out = python_with_graphwave(script, "spectrum", grid_command_inputs / "star3.json",
+                                "--h", "0.5", "--out", tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == "False"
+
+
+# the bytes the CSV writers gave when each cell was formatted on its own
+# (repr of each float): -0.0, 1e300 and 5e-324 kept, 0 at the truncation
+# ends, the comma in an edge id quoted, and NaN and an int in a table row
+PINNED_COMPLEX = (b'edge_id,x,re,im\r\n"a,b",0.0,1e+300,-0.0\r\n"a,b",0.25,-0.0,5e-324\r\n'
+                  b'"a,b",0.5,5e-324,-0.0\r\n"a,b",0.75,0.3333333333333333,1e+300\r\n'
+                  b'"a,b",1.0,0.0,0.0\r\nc,0.0,1e+300,-0.0\r\nc,0.25,-0.0,-0.0\r\n'
+                  b'c,0.5,0.1,0.2\r\nc,0.75,-2.5e-310,1.0\r\nc,1.0,0.0,0.0\r\n')
+PINNED_REAL = (b'edge_id,x,re,im\r\n"a,b",0.0,1e+300,0.0\r\n"a,b",0.25,-0.0,0.0\r\n'
+               b'"a,b",0.5,5e-324,0.0\r\n"a,b",0.75,0.3333333333333333,0.0\r\n'
+               b'"a,b",1.0,0.0,0.0\r\nc,0.0,1e+300,0.0\r\nc,0.25,-0.0,0.0\r\nc,0.5,0.1,0.0\r\n'
+               b'c,0.75,-2.5e-310,0.0\r\nc,1.0,0.0,0.0\r\n')
+PINNED_SWEEP = (b'c,omega,energy,g_norm_sq,iterations,structure_ok,status\r\n'
+                b'0.8,0.3,-0.1,0.5,12,True,ok\r\n2.5,nan,nan,nan,0,False,BallExitError\r\n')
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    g = graphs.MetricGraph(
+        vertices=(graphs.Vertex("v", 1.0),),
+        edges=(graphs.Edge("a,b", "v", None, math.inf, 1.0),
+               graphs.Edge("c", "v", None, math.inf, 1.0)),
+    ).validate()
+    d = mesh.build(g, 0.25)
+    values = np.empty(d.n_nodes, complex)
+    values.real = [1e300, -0.0, 5e-324, 1 / 3, -0.0, 0.1, -2.5e-310]
+    values.imag = [-0.0, 5e-324, -0.0, 1e300, -0.0, 0.2, 1.0]
+    path = tmp_path / "f.csv"
+    for u, pinned in ((values, PINNED_COMPLEX), (values.real.copy(), PINNED_REAL)):
+        mesh.save_function_csv(mesh.GraphFunction(d, u), path)
+        assert path.read_bytes() == pinned
+    cli._write_csv(path, {
+        "c": [0.8, 2.5], "omega": [np.float64(0.3), math.nan], "energy": [-0.1, math.nan],
+        "g_norm_sq": [np.float64(0.5), math.nan], "iterations": [np.int64(12), 0],
+        "structure_ok": ["True", "False"], "status": ["ok", "BallExitError"]})
+    assert path.read_bytes() == PINNED_SWEEP

@@ -16,10 +16,8 @@ from graphwave.graphs import (
     StarGraphSpec,
     Vertex,
     ZeroPotential,
-    default_truncation,
     make_star,
     parse_graph,
-    potential_integrability_report,
     serialize_graph,
 )
 
@@ -61,7 +59,6 @@ def test_parse_tadpole_plus_tail():
     }
     g = parse_graph(json.dumps(doc))
     assert len(g.vertices) == 2 and len(g.edges) == 3
-    assert g.total_length == 30.0
 
 
 def test_parse_rejects_disconnected_and_compact():
@@ -88,7 +85,6 @@ def test_make_star_shapes():
     g = make_star(StarGraphSpec(3, 1.0, 40.0))
     assert len(g.edges) == 3 and len(g.vertices) == 1
     assert g.vertices[0].alpha == 1.0
-    assert g.total_length == 120.0
     line = make_star(StarGraphSpec(2, 1.0, 40.0))
     assert len(line.edges) == 2
     with pytest.raises(DomainError):
@@ -164,12 +160,6 @@ def test_roundtrip_random_graphs(g):
     assert parse_graph(serialize_graph(g)) == g
 
 
-def test_default_truncation():
-    assert default_truncation(1.0 / 9.0) == pytest.approx(60.0)
-    with pytest.raises(DomainError):
-        default_truncation(0.0)
-
-
 def test_potential_evaluation_rules():
     sq = SquareWell(-2.0, 1.0, 3.0)
     assert list(sq.values_at([0.5, 1.0, 2.0, 4.0, 4.5])) == [0.0, -2.0, -2.0, -2.0, 0.0]
@@ -177,34 +167,6 @@ def test_potential_evaluation_rules():
     np.testing.assert_allclose(samp.values_at([0.0, 1.5, 9.0]), [3.0, 4.0, 5.0])
     with pytest.raises(SchemaError, match="increasing"):
         SampledPotential((1.0, 1.0), (0.0, 0.0))
-
-
-def test_integrability_report_zero():
-    rep = potential_integrability_report(make_star(StarGraphSpec(3, 1.0, 40.0)), 5.0)
-    assert rep["w_plus_l1"] == 0.0 and rep["w_minus_l1"] == 0.0
-    assert rep["r_exponent"] == pytest.approx(1.5)
-
-
-def test_integrability_report_gaussian():
-    g = MetricGraph(
-        vertices=(Vertex("v", 1.0),),
-        edges=(Edge("e", "v", None, math.inf, 40.0, GaussianBump(-1.0, 5.0, 1.0)),),
-    ).validate()
-    rep = potential_integrability_report(g, 5.0)
-    # quadrature oracle: integral of exp(-(x-5)^2/2) over [0, 40] = 2.5066275561020657
-    assert rep["w_minus_l1"] == pytest.approx(2.5066275561020657, abs=1e-4)
-    assert rep["w_plus_l1"] == 0.0
-
-
-def test_integrability_report_square_well():
-    g = MetricGraph(
-        vertices=(Vertex("v", 1.0),),
-        edges=(Edge("e", "v", None, math.inf, 40.0, SquareWell(-2.0, 2.0, 3.0)),),
-    ).validate()
-    rep = potential_integrability_report(g, 5.0)
-    assert rep["w_minus_l1"] == pytest.approx(6.0, abs=0.05)
-    with pytest.raises(DomainError):
-        potential_integrability_report(g, 3.0)
 
 
 @pytest.mark.parametrize("kind", ["cubic", ["zero"], {"type": "zero"}, None])

@@ -310,6 +310,18 @@ def test_csv_shuffled_rows_load_identically(tmp_path, disc_h02, rng):
     np.testing.assert_array_equal(load_function_csv(disc_h02, path).values, u.values)
 
 
+def test_csv_columns_are_found_by_name(tmp_path, disc_h02, rng):
+    # any column order loads, and a column the loader does not know is ignored
+    n = disc_h02.n_nodes
+    u = GraphFunction(disc_h02, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    path = tmp_path / "fn.csv"
+    save_function_csv(u, path)
+    rows = path.read_text().splitlines()
+    path.write_text("".join(f"{im},note,{x},{edge},{re}\n"
+                            for edge, x, re, im in (row.split(",") for row in rows)))
+    np.testing.assert_array_equal(load_function_csv(disc_h02, path).values, u.values)
+
+
 @pytest.mark.parametrize("rel, ok", [(0.5e-9, True), (2e-9, False)])
 def test_csv_match_tolerance(tmp_path, disc_h02, rel, ok):
     # x is matched to 1e-9 (1 + |x|): at x = 10 a 2e-9 relative shift is out

@@ -7,7 +7,7 @@ import pytest
 
 from graphwave import mesh, minimizers
 from graphwave.errors import BallExitError, ConvergenceError, DomainError, FeasibilityError
-from graphwave.graphs import StarGraphSpec, make_star, potential_integrability_report
+from graphwave.graphs import StarGraphSpec, make_star
 from graphwave.mesh import GraphFunction, gn_ratio, h1_norm_sq, lp_norm, mass, quadratic_form
 from graphwave.minimizers import (
     energy,
@@ -63,12 +63,11 @@ def test_energy_matches_analytic_quadrature(disc_h01):
     lambda u, g: lagrange_multiplier(u, math.nan),
     lambda u, g: lp_norm(u, math.nan),
     lambda u, g: gn_ratio(u, math.nan),
-    lambda u, g: potential_integrability_report(g, math.nan),
     lambda u, g: feasibility_bound(0.1, math.inf),
     lambda u, g: h_integral(0.5, math.inf),
     lambda u, g: profile_f(0.5, math.inf, 1.0),
-], ids=["energy", "lagrange_multiplier", "lp_norm", "gn_ratio",
-        "potential_integrability_report", "feasibility_bound", "h_integral", "profile_f"])
+], ids=["energy", "lagrange_multiplier", "lp_norm", "gn_ratio", "feasibility_bound",
+        "h_integral", "profile_f"])
 def test_library_checks_refuse_nan_and_inf(star3, disc_h02, call):
     u = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), disc_h02)
     with pytest.raises(DomainError):

@@ -11,8 +11,7 @@ EXPORTED = {
             "DomainError FeasibilityError GraphWaveError SchemaError",
     evolution: "evolve orbit_distance stability_experiment step",
     graphs: "INFINITE Edge GaussianBump MetricGraph SampledPotential SquareWell StarGraphSpec "
-            "Vertex ZeroPotential make_star parse_graph potential_integrability_report "
-            "serialize_graph",
+            "Vertex ZeroPotential make_star parse_graph serialize_graph",
     mesh: "Discretization GraphFunction build g_norm_sq gn_ratio grad_norm_sq h1_inner "
           "h1_norm_sq load_function_csv lp_norm mass quadratic_form save_function_csv",
     minimizers: "EnergyBreakdown MinimizerResult energy feasibility_bound lagrange_multiplier "

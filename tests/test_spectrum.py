@@ -252,3 +252,35 @@ def test_a_newton_step_stalled_under_an_edge_eigenvalue_is_not_taken_for_converg
     mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 1])
     assert mu[0] < -0.99 and 0 < mu[1] < 0.01
     assert ground_state(d).lambda0 == pytest.approx(-mu[0], rel=1e-9)
+
+
+def test_a_trial_shift_with_t_indefinite_runs_no_gttrf(monkeypatch):
+    # the well on f binds inside the edge, so T is indefinite at sigma = 0: no
+    # step is taken from that trial factor, and the solves from below factor T
+    # by ?pttrf.  The trial at 0 ran ?gttrf, a Z solve and the Schur
+    # complement, and nothing read them
+    g = MetricGraph(
+        vertices=(Vertex("a", 0.5), Vertex("b", 0.5)),
+        edges=(Edge("f", "a", "b", 3.0, potential=SquareWell(-3.0, 0.5, 2.0)),
+               Edge("ha", "a", None, math.inf, 20.0), Edge("hb", "b", None, math.inf, 20.0)),
+    ).validate()
+    d = mesh.build(g, 0.02)
+    assert not mesh.factor(d, np.zeros(d.n_nodes)).definite
+    calls, lapack = [], mesh._lapack
+
+    def counted(names, dtype):
+        found = lapack(names, dtype)
+        if "gttrf" not in names:
+            return found
+        k = names.index("gttrf")
+
+        def gttrf(*args, **kwargs):
+            calls.append(dtype)
+            return found[k](*args, **kwargs)
+        return (*found[:k], gttrf, *found[k + 1:])
+
+    monkeypatch.setattr(mesh, "_lapack", counted)
+    pair = ground_state(d)
+    mu = eigh(d.A.toarray(), np.diag(d.m), eigvals_only=True, subset_by_index=[0, 0])
+    assert pair.lambda0 == pytest.approx(-mu[0], rel=1e-9)
+    assert calls == []
