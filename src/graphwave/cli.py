@@ -63,10 +63,10 @@ def _write_csv(path: Path, columns: dict) -> None:
         w.writerows(zip(*(np.asarray(col).tolist() for col in columns.values())))
 
 
-def ProcessPoolExecutor(max_workers):
+def ProcessPoolExecutor(workers):
     """concurrent.futures' pool, its module imported only when a sweep starts one."""
     from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
+    return pool(workers)
 
 
 def _prepare(args):
@@ -142,6 +142,7 @@ def _cmd_minimize(args, out, g) -> dict:
 
 
 def _cmd_closed_form(args, out, _) -> dict:
+    import numpy as np
     from . import mesh, minimizers, starwaves
     from .graphs import StarGraphSpec, make_star
     wave = starwaves.ClosedFormWave(args.N, args.gamma, args.p, args.omega, args.j)
@@ -150,7 +151,8 @@ def _cmd_closed_form(args, out, _) -> dict:
     mesh.check_grid(1, [(spec.truncation_length, spec.n_edges)], args.h)
     d = mesh.build(make_star(spec), args.h)
     u = starwaves.evaluate_wave(wave, d)
-    mass, energy = mesh.mass(u), minimizers.energy(u, args.p).total
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below when not finite
+        mass, energy = mesh.mass(u), minimizers.energy(u, args.p).total
     if not (math.isfinite(mass) and math.isfinite(energy)):
         raise DomainError(f"omega={args.omega} gives a mass {mass} and energy {energy} "
                           "that are not both finite")
@@ -322,7 +324,7 @@ def _cmd_sweep(args, out, g) -> dict:
     ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]

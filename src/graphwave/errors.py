@@ -29,8 +29,8 @@ class AssumptionError(GraphWaveError):
 class ConfigurationError(GraphWaveError):
     """Run settings are unusable: a numerical parameter (grid step too large
     or too small for the node limit, too many vertices, worker count out of
-    range), an input file that cannot be read or an output location that
-    cannot be written."""
+    range), an input file that cannot be read or is not UTF-8 text, or an
+    output location that cannot be written."""
 
 
 class DomainError(GraphWaveError):
@@ -73,11 +73,13 @@ def check_exponent(p, what: str, lowest: float | None = None) -> None:
 @contextmanager
 def os_action(action: str):
     """Turn an OSError in the block, the OS refusing ``action`` (which names
-    its file), into the ConfigurationError "cannot <action>: <reason>"."""
+    its file), or undecodable text into the ConfigurationError "cannot <action>: <reason>"."""
     try:
         yield
     except OSError as exc:
         raise ConfigurationError(f"cannot {action}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot {action}: not {exc.encoding.upper()} text") from None
 
 
 class BlowUpError(GraphWaveError):

@@ -18,18 +18,18 @@ so a step computes u^{n+1} = L^{-1} (2i M/dt) u^n - u^n: one solve and no
 product with A.
 
 Both ``evolve`` and ``stability_experiment`` run the one time loop,
-``_trajectory``: it checks the time grid, seeds the relaxation field, steps
-under the overflow guard and yields the sampled states; each caller only
-applies its own observables to those samples.  A trajectory keeps one
+``_trajectory``: it steps from ``initial_state`` and yields the sampled
+states; each caller only applies its own observables to those samples.
+A trajectory lives in its states: its start builds one workspace, the
 elimination's storage, which each step factors and solves in a single
-LAPACK call (``Elimination.factor_solve``); each step allocates its new
-state.
+LAPACK call (``Elimination.factor_solve``), and the overflow guard; each
+step hands it on to the new state it allocates.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,29 +62,12 @@ _BLOW_UP_RATIO = 1e6
 MAX_STEPS = 10**6
 
 
-@dataclass
-class EvolutionState:
-    t: float
-    u: GraphFunction
-    gamma_relax: np.ndarray    # auxiliary nonlinearity field at the last half step
-    dt: float
-
-    def __post_init__(self):
-        if self.dt == 0.0:
-            raise DomainError("dt must be nonzero")
-
-
-def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
-    """Seed the relaxation field with |u0|^{p-1}, so the first step
-    degenerates to a midpoint linearization."""
-    return EvolutionState(t=0.0, u=u0.copy(), gamma_relax=np.abs(u0.values) ** (p - 1.0), dt=dt)
-
-
 class _Workspace:
     """One trajectory's storage: the CN elimination, factored and solved in
-    one call per step, and the step's buffers."""
+    one call per step, the step's buffers and the overflow guard."""
 
-    def __init__(self, d: Discretization, dt: float):
+    def __init__(self, u: GraphFunction, dt: float):
+        d = u.disc
         self.elim = Elimination(d, np.complex128)
         self.neg_m, self.scale = -d.m, -4j * d.m / dt
         # the factored shift -m (gam + 2i/dt) keeps its imaginary part
@@ -92,20 +75,43 @@ class _Workspace:
         # |u| of the last state step returned (its sup pass writes it), which
         # the next step from that state reuses for |u|^{p-1}
         self.abs, self.abs_of = np.empty(d.n_nodes), None
+        self.guard = _BLOW_UP_RATIO * float(np.max(np.abs(u.values)))
 
 
-def step(
-    state: EvolutionState,
-    d: Discretization,
-    p: float,
-    sup_guard: float | None = None,
-    _work: _Workspace | None = None,
-) -> EvolutionState:
-    """One relaxation Crank-Nicolson step (_trajectory passes its one
-    workspace as _work).  The linear flow is the step at vanishing
-    amplitude: |u|^{p-1} then falls below every diagonal entry's last digit."""
-    u, dt = state.u.values, state.dt
-    work = _Workspace(d, dt) if _work is None else _work
+@dataclass
+class EvolutionState:
+    """A trajectory's state; one made without a workspace starts a trajectory and builds it."""
+    t: float
+    u: GraphFunction
+    gamma_relax: np.ndarray    # auxiliary nonlinearity field at the last half step
+    dt: float
+    work: _Workspace | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.dt == 0.0:
+            raise DomainError("dt must be nonzero")
+        self.work = self.work or _Workspace(self.u, self.dt)
+
+
+def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
+    """Seed the relaxation field with |u0|^{p-1}, so the first step
+    degenerates to a midpoint linearization.  DomainError unless u0's mass
+    and max|u0|^(p-1) are finite."""
+    with np.errstate(over="ignore"):   # an overflow is refused below, naming the start
+        c, gam = mass(u0), np.abs(u0.values) ** (p - 1.0)
+    top = float(np.max(gam))
+    if not (math.isfinite(c) and math.isfinite(top)):
+        raise DomainError(f"the start u0 has mass {c:.6g} and max|u0|^(p-1) = {top:.6g}: "
+                          "both must be finite")
+    return EvolutionState(t=0.0, u=u0.copy(), gamma_relax=gam, dt=dt)
+
+
+def step(state: EvolutionState, d: Discretization, p: float) -> EvolutionState:
+    """One relaxation Crank-Nicolson step in the state's workspace; BlowUpError
+    past its guard, _BLOW_UP_RATIO times the start's sup norm.  The linear flow
+    is the step at vanishing amplitude: |u|^{p-1} then falls below every
+    diagonal entry's last digit."""
+    u, dt, work = state.u.values, state.dt, state.work
     gam = np.power(work.abs if work.abs_of is u else np.abs(u), p - 1.0)
     gam *= 2.0
     gam -= state.gamma_relax
@@ -114,16 +120,12 @@ def step(
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
     u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
     t = state.t + dt
-    # one pass decides both checks (a finite state has a finite sup unless
-    # |u| itself overflows)
     sup = float(np.abs(u_next, out=work.abs).max())
     work.abs_of = u_next
-    if not math.isfinite(sup) and not np.all(np.isfinite(u_next)):
-        raise BlowUpError(f"non-finite state at t={t}", t=t)
-    if sup_guard is not None and sup > sup_guard:
-        raise BlowUpError(
-            f"sup norm exceeded the overflow guard at t={t}: blow-up suspected", t=t)
-    return EvolutionState(t=t, u=GraphFunction(d, u_next), gamma_relax=gam, dt=dt)
+    if not sup <= work.guard:   # a NaN in the state fails too
+        raise BlowUpError(f"sup norm {sup:.6g} at t={t} is past the overflow guard "
+                          f"{work.guard:.6g}: blow-up suspected", t=t)
+    return EvolutionState(t=t, u=GraphFunction(d, u_next), gamma_relax=gam, dt=dt, work=work)
 
 
 @dataclass
@@ -158,17 +160,10 @@ def _trajectory(d: Discretization, p: float, u0: GraphFunction, dt: float,
     step and after the last step, stopping at the overflow guard."""
     if sample_every < 1:
         raise DomainError("sample_every must be a positive integer")
-    with np.errstate(over="ignore"):   # an overflow is refused below, naming the start
-        state, c = initial_state(u0, dt, p), mass(u0)
-    top = float(np.max(state.gamma_relax))
-    if not (math.isfinite(c) and math.isfinite(top)):
-        raise DomainError(f"the start u0 has mass {c:.6g} and max|u0|^(p-1) = {top:.6g}: "
-                          "both must be finite")
-    guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
-    work = _Workspace(d, dt)
+    state = initial_state(u0, dt, p)
     yield state
     for k in range(1, n_steps + 1):
-        state = step(state, d, p, sup_guard=guard, _work=work)
+        state = step(state, d, p)
         if k % sample_every == 0 or k == n_steps:
             yield state
 

@@ -449,8 +449,8 @@ def factor(d: Discretization, shift: np.ndarray) -> Elimination:
     solve(b) solves for b of shape (n,) or (n, k), and, for a real shift,
     solve.n_negative() counts the negative eigenvalues of A + diag(shift).
 
-    The one solver of the spectrum, the flow, Newton and the CN step.
-    Raises DomainError when the matrix is singular to working precision."""
+    The flow and the spectral gap use it; the ground state, Newton and the CN
+    step refactor their own.  DomainError when singular to working precision."""
     shift = np.asarray(shift)
     solve = Elimination(d, np.result_type(d._diag, shift))
     solve.refactor(shift)
@@ -554,9 +554,10 @@ def save_function_csv(u: GraphFunction, path) -> None:
 
 
 def load_function_csv(d: Discretization, path) -> GraphFunction:
-    """Read a (edge_id, x, re, im) table sampled on exactly this grid, one
-    row per node, its columns found by header name; a repeated (edge_id, x)
-    or an edge the grid lacks is a SchemaError."""
+    """Read a (edge_id, x, re, im) table with a row at every node of this
+    grid (x to 1e-9 relative), its columns found by header name; other rows,
+    as a finer grid's between the nodes, are skipped.  A node without a row,
+    a repeated (edge_id, x) or an edge the grid lacks is a SchemaError."""
     with os_action(f"read function CSV {path}"), open(path, newline="") as fh:
         reader = csv.reader(fh)
         col = {name: k for k, name in enumerate(next(reader, []))}

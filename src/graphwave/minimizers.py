@@ -45,6 +45,7 @@ from .errors import (
 )
 from .mesh import (
     Discretization,
+    Elimination,
     GraphFunction,
     factor,
     lp_norm,
@@ -316,17 +317,14 @@ def _newton(d, p, c, r, lam0, tol, u, s):
         v, nonlin, rvec = v.real, nonlin.real, rvec.real
     s = s._replace(nonlin=nonlin, rvec=rvec)
     rhs = np.empty((d.n_nodes, 2), order="F")   # -m rvec and m v, solved in place
-    solve, steps, neg_m = None, 0, -m
+    solve, steps, neg_m = Elimination(d, float), 0, -m
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS + 1):
             shift = s.abs_pow * -p
             shift += s.omega_hat
             shift *= m
             try:
-                if solve is None:
-                    solve = factor(d, shift)
-                else:
-                    solve.refactor(shift)
+                solve.refactor(shift)
             except DomainError:
                 return None
             if s.residual <= tol:

@@ -88,6 +88,9 @@ def test_usage_error_exit_code(star_file):
     with pytest.raises(SystemExit) as exc:
         dispatch(["sweep", str(star_file), "--p", "6", "--c-grid", "1:2:0"])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["mass-curve", "--N", "3", "--gamma", "1", "--p", "6", "--omega-range", "1:2"])
+    assert exc.value.code == 64
 
 
 def test_closed_form_and_mass_curve(tmp_path, capsys):
@@ -211,6 +214,18 @@ def test_sweep_records_per_point_failures(tmp_path, capsys, star_file):
          {"type": "gaussian", "amplitude": math.nan, "center": 1.0, "width": 1.0}),
         ("edges", 0, "potential", {"type": "samples", "x": 1.0, "w": 2.0}),
         ("edges", 1, "id", "e1"),   # duplicate edge id
+        ("edges", 0, "from", "nowhere"),
+        ("edges", 0, "to", "nowhere"),
+        ("edges", 0, "to", "v0"),   # a half-line with a second end
+        ("edges", 0, "length", 2.0),   # a finite edge without one
+        ("edges", 0, "potential", "zero"),
+        ("edges", 0, "potential", {"type": "gaussian", "amplitude": 1.0}),
+        ("edges", 0, "potential", {"type": "square_well", "depth": 1.0, "start": 0.0,
+                                   "width": 0.0}),
+        ("edges", 0, "potential", {"type": "gaussian", "amplitude": 1.0, "center": 0.0,
+                                   "width": -1.0}),
+        ("edges", 0, "potential", {"type": "samples", "x": [], "w": []}),
+        ("edges", 0, "potential", {"type": "samples", "x": [0.0, 1.0], "w": [1.0]}),
     ],
 )
 def test_malformed_config_is_a_schema_error(tmp_path, capsys, section, index, key, value):
@@ -235,6 +250,50 @@ def test_time_grid_error_exit_code(tmp_path, capsys, star_file):
     )
     assert code == 1
     assert payload["error_type"] == "DomainError"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+def test_input_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys, star_file, command):
+    # the UnicodeDecodeError was a traceback, exit 1 and nothing on stdout
+    bad = tmp_path / "bad"
+    if command == "spectrum":
+        bad.write_bytes(b'\xff\xfe{"vertices": [], "edges": []}')
+        argv = ["spectrum", bad, "--h", "0.5"]
+    else:
+        bad.write_bytes(bytes(range(256)) + b"\x00\xff" * 22)   # 300 bytes of binary
+        argv = ["evolve", star_file, "--p", "5", "--h", "0.5", "--dt", "0.25", "--T", "0.5",
+                "--init", bad]
+    code, payload = dispatch_json(capsys, [*argv, "--out", tmp_path / "o"])
+    assert code == 1
+    assert payload["error_type"] == "ConfigurationError"
+    assert f"{bad}: not UTF-8 text" in payload["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_refuses_an_overflowing_mass_without_warnings(tmp_path, capsys):
+    # the mass and energy overflowed with three RuntimeWarnings before the refusal
+    code, payload = run(capsys, ["closed-form", "--N", "1000", "--gamma", "1", "--p", "1.01",
+                                 "--omega", "33.9", "--h", "0.5", "--length", "40",
+                                 "--out", tmp_path / "cf"])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and "mass inf" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_time_step_defaults_to_half_the_grid_step(tmp_path, capsys, star_file, command):
+    cf = tmp_path / "cf"
+    run(capsys, ["closed-form", "--N", "3", "--gamma", "1", "--p", "6", "--omega", "1",
+                 "--h", "0.5", "--length", "30", "--out", cf])
+    out = tmp_path / command
+    argv = ([command, star_file, "--p", "6", "--h", "0.5", "--T", "2.5"]
+            + (["--init", cf / "profile.csv", "--sample-every", "1"] if command == "evolve"
+               else ["--delta", "0.01", "--ref", cf / "profile.csv"]))
+    code, _ = dispatch_json(capsys, [*argv, "--out", out])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["dt"] == 0.25
+    with open(out / ("trace.csv" if command == "evolve" else "stability.csv")) as fh:
+        times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    assert times == pytest.approx([0.25 * k for k in range(11)], abs=1e-12)
 
 
 def test_spectrum_refuses_a_grid_step_floats_cannot_resolve(tmp_path, capsys):

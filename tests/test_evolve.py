@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,14 +117,15 @@ def test_yielded_states_are_never_written_again(small_setup, p, sample_every):
 
 @pytest.mark.parametrize("sample_every", [1, 3])
 def test_trajectory_reusing_the_modulus_is_bit_identical(small_setup, sample_every):
-    # a trajectory takes |u| for |u|^{p-1} from the last step's sup pass;
-    # a step on a workspace of its own computes it afresh
+    # a trajectory takes |u| for |u|^{p-1} from the last step's sup pass
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
     uT, trace = evolve(d, 5.0, u0, 0.01, 0.12, sample_every=sample_every)
     state, energies = initial_state(u0, 0.01, 5.0), [trace.energy[0]]
     for k in range(1, 13):
-        state = step(state, d, 5.0)
+        # a hand-made state builds a workspace of its own, so the reference
+        # step gets fresh storage and computes |u| afresh
+        state = step(EvolutionState(state.t, state.u, state.gamma_relax, state.dt), d, 5.0)
         if k % sample_every == 0:
             energies.append(evolution.energy(state.u, 5.0).total)
     np.testing.assert_array_equal(uT.values, state.u.values)
@@ -208,8 +210,52 @@ def test_blow_up_guard_triggers(small_setup):
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
     state = initial_state(u0, 0.01, 5.0)
+    state.work.guard = 1e-12
     with pytest.raises(BlowUpError):
-        step(state, d, 5.0, sup_guard=1e-12)
+        step(state, d, 5.0)
+
+
+def test_a_hand_stepped_trajectory_keeps_its_guard(small_setup):
+    # the guard is the trajectory's start's: a state of that trajectory
+    # whose sup norm is 2^200 times the start's trips it on its next step
+    d, _ = small_setup
+    u0 = GraphFunction(d, TINY * evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d).values)
+    state = step(initial_state(u0, 0.01, 5.0), d, 5.0)
+    grown = dataclasses.replace(state, u=GraphFunction(d, state.u.values / TINY))
+    with pytest.raises(BlowUpError, match="overflow guard"):
+        step(grown, d, 5.0)
+
+
+def test_chained_steps_share_one_elimination(monkeypatch, small_setup):
+    # the start builds the trajectory's workspace and every step hands it on
+    d, _ = small_setup
+    built = []
+    init = mesh.Elimination.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(mesh.Elimination, "__init__", counting_init)
+    state = initial_state(evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d), 0.01, 5.0)
+    for _ in range(10):
+        state = step(state, d, 5.0)
+    assert len(built) == 1 and state.work.elim is built[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_initial_state_refuses_a_start_whose_power_overflows(small_setup):
+    d, _ = small_setup
+    u0 = d.zeros()
+    u0.values[0] = 1e100
+    with pytest.raises(DomainError, match=r"max\|u0\|\^\(p-1\) = inf"):
+        initial_state(u0, 0.01, 7.0)
+
+
+def test_a_zero_time_step_is_refused(small_setup):
+    d, gs = small_setup
+    with pytest.raises(DomainError, match="dt must be nonzero"):
+        initial_state(GraphFunction(d, gs.psi0.values.astype(complex)), 0.0, 5.0)
 
 
 def test_orbit_distance_identities(small_setup):
@@ -277,6 +323,8 @@ def test_noise_mode_is_seeded(reference_minimizer):
     with pytest.raises(DomainError):
         stability_experiment(d, 6.0, res.phi, delta=1e-2, t_final=0.1, dt=0.01,
                              mode="bogus")
+    with pytest.raises(DomainError, match="needs a bump profile"):
+        stability_experiment(d, 6.0, res.phi, delta=1e-2, t_final=0.1, dt=0.01)
 
 
 def test_stability_and_evolve_share_one_loop(reference_minimizer):

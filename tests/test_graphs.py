@@ -81,6 +81,23 @@ def test_parse_error_names_field():
         parse_graph(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: "{", "not valid JSON"),
+    (lambda doc: [doc], "root must be an object"),
+    (lambda doc: {"vertices": doc["vertices"]}, "'edges' list"),
+    (lambda doc: {**doc, "vertices": [{"alpha": 1.0}]}, "needs an 'id'"),
+    (lambda doc: {**doc, "vertices": doc["vertices"] * 2}, "duplicate vertex id"),
+    (lambda doc: {**doc, "edges": []}, "no edges"),
+    (lambda doc: {**doc, "edges": ["e1"]}, "edge must be an object"),
+    (lambda doc: {**doc, "edges": [{"id": "e1", "from": "v0"}]}, "missing field 'length'"),
+], ids=["not-json", "root", "no-edges-list", "vertex-id", "duplicate-vertex", "no-edges",
+        "edge-not-object", "edge-field"])
+def test_malformed_document_is_a_schema_error(edit, match):
+    edited = edit(json.loads(STAR3))
+    with pytest.raises(SchemaError, match=match):
+        parse_graph(edited if isinstance(edited, str) else json.dumps(edited))
+
+
 def test_make_star_shapes():
     g = make_star(StarGraphSpec(3, 1.0, 40.0))
     assert len(g.edges) == 3 and len(g.vertices) == 1

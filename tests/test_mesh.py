@@ -274,6 +274,21 @@ def test_csv_rejects_mismatched_grid(tmp_path, disc_h02):
         load_function_csv(disc_h02, path)
 
 
+def test_csv_of_a_finer_grid_loads_at_the_shared_nodes(tmp_path, disc_h02):
+    # h = 0.01 has every node of h = 0.02 (40 / 0.02 cells per edge) and one
+    # between each two; the loader picks the rows at this grid's x
+    fine = build(make_star(StarGraphSpec(3, 1.0, 40.0)), 0.01)
+    u = fine.from_edge_profiles(lambda k, x: np.cos(x) + 1j * (k + 1) * x)
+    path = tmp_path / "fine.csv"
+    save_function_csv(u, path)
+    loaded = load_function_csv(disc_h02, path)
+    for eg, fine_eg in zip(disc_h02.edge_grids, fine.edge_grids):
+        keep = eg.gidx >= 0
+        np.testing.assert_array_equal(fine_eg.x[::2], eg.x)
+        np.testing.assert_array_equal(loaded.values[eg.gidx[keep]],
+                                      u.values[fine_eg.gidx[::2][keep]])
+
+
 def test_csv_rejects_missing_edge(tmp_path, disc_h02):
     path = tmp_path / "fn.csv"
     with open(path, "w") as fh:

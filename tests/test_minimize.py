@@ -66,12 +66,22 @@ def test_energy_matches_analytic_quadrature(disc_h01):
     lambda u, g: feasibility_bound(0.1, math.inf),
     lambda u, g: h_integral(0.5, math.inf),
     lambda u, g: profile_f(0.5, math.inf, 1.0),
+    lambda u, g: profile_f(0.5, 5.0, math.nan),
+    lambda u, g: GraphFunction(u.disc, u.values[:-1]),
 ], ids=["energy", "lagrange_multiplier", "lp_norm", "gn_ratio", "feasibility_bound",
-        "h_integral", "profile_f"])
+        "h_integral", "profile_f", "profile_f-omega", "graph_function-length"])
 def test_library_checks_refuse_nan_and_inf(star3, disc_h02, call):
     u = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), disc_h02)
     with pytest.raises(DomainError):
         call(u, star3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_flow_whose_residual_overflows_is_a_convergence_error(disc_h02, ground_h02):
+    # at p = 50 the start sqrt(1e10) psi0 has |u|^{p-1} u near 1e235, whose
+    # squared residual overflows; the ball of radius 1e30 still holds it
+    with pytest.raises(ConvergenceError, match="flow diverged at iteration 1"):
+        minimize(disc_h02, 50.0, 1e10, 1e30, tau=1.0, ground=ground_h02)
 
 
 def test_feasibility_bound_values():
@@ -271,13 +281,13 @@ def test_typed_error_releases_factorizations(monkeypatch, disc_h02, ground_h02, 
     # a caller that keeps the error (the CLI, a benchmark gate) must not keep
     # the multi-MB factorizations of the flow and of the Newton attempts alive
     solves = []
+    init = mesh.Elimination.__init__
 
-    def recording_factor(d, shift):
-        solve = mesh.factor(d, shift)
-        solves.append(weakref.ref(solve))
-        return solve
+    def recording_init(self, *args):
+        solves.append(weakref.ref(self))
+        init(self, *args)
 
-    monkeypatch.setattr(minimizers, "factor", recording_factor)
+    monkeypatch.setattr(mesh.Elimination, "__init__", recording_init)
     if error is BallExitError:
         args = dict(c=0.98 / ground_h02.lambda0, p=7.0)
     else:   # Newton is tried at every decade on the way and fails at round-off
@@ -299,15 +309,16 @@ def test_flow_is_factored_only_when_it_steps(monkeypatch, disc_h02, ground_h02):
     # first step, so M/tau + A is never factored; from a twisted start, which
     # Newton declines until the flow has untwisted it, it is factored once
     shifts = []
+    refactor = mesh.Elimination.refactor
 
-    def recording_factor(d, shift):
+    def recording_refactor(self, shift):
         shifts.append(shift)
-        return mesh.factor(d, shift)
+        refactor(self, shift)
 
     def flow_factors(tau):
         return sum(np.array_equal(s, disc_h02.m / tau) for s in shifts)
 
-    monkeypatch.setattr(minimizers, "factor", recording_factor)
+    monkeypatch.setattr(mesh.Elimination, "refactor", recording_refactor)
     res = minimize(disc_h02, 6.0, C_REF_P6, 1.0, ground=ground_h02)
     assert res.iterations == 1 and res.newton_steps >= 1
     assert shifts and flow_factors(disc_h02.h_max) == 0

@@ -10,7 +10,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from graphwave import mesh, spectrum
-from graphwave.errors import AssumptionError, DomainError
+from graphwave.errors import AssumptionError, ConvergenceError, DomainError
 from graphwave.graphs import Edge, MetricGraph, SquareWell, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import GraphFunction, mass, quadratic_form
 from graphwave.spectrum import GroundStatePair, ground_state, spectral_gap, spectral_gap_report
@@ -76,6 +76,12 @@ def test_grid_step_below_float_resolution_is_refused_at_once():
 def test_ground_state_tol_must_be_positive_and_finite(disc_h02, tol):
     with pytest.raises(DomainError, match="tolerance"):
         ground_state(disc_h02, tol=tol)
+
+
+def test_eigen_iteration_cap_is_a_convergence_error(monkeypatch, disc_h02):
+    monkeypatch.setattr(spectrum, "_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="in 2 iterations"):
+        ground_state(disc_h02)
 
 
 def test_loose_tol_does_not_invent_a_missing_bound_state():

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from graphwave import mesh
-from graphwave.errors import DomainError
+from graphwave import mesh, starwaves
+from graphwave.errors import ConvergenceError, DomainError
 from graphwave.graphs import StarGraphSpec, make_star
 from graphwave.mesh import vertex_flux_defect
 from graphwave.starwaves import (
@@ -178,6 +178,13 @@ def test_solve_omega_matches_brentq(n_edges, p):
 def test_solve_omega_refuses_reversed_and_nan_inputs(c, bracket, match):
     with pytest.raises(DomainError, match=match):
         solve_omega_for_mass(3, 1.0, 6.0, c, bracket)
+
+
+def test_root_search_cap_is_a_convergence_error(monkeypatch):
+    # the search takes 6 to 8 steps; a cap below that is never a returned root
+    monkeypatch.setattr(starwaves, "_MAX_ROOT_STEPS", 2)
+    with pytest.raises(ConvergenceError, match="in 2 steps"):
+        solve_omega_for_mass(3, 1.0, 5.0, mass_curve(3, 1.0, 5.0, 1.0), (0.5, 2.0))
 
 
 @pytest.mark.parametrize("p, argmax", [(6.0, 1.30036), (7.0, 0.52434), (8.0, 0.34582),
