@@ -63,12 +63,6 @@ def _write_csv(path: Path, columns: dict) -> None:
         w.writerows(zip(*(np.asarray(col).tolist() for col in columns.values())))
 
 
-def ProcessPoolExecutor(workers):
-    """concurrent.futures' pool, its module imported only when a sweep starts one."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(workers)
-
-
 def _prepare(args):
     """Create the output directory, parse the graph (if the command takes
     one) and write the manifest; parameters are every parsed option except
@@ -152,7 +146,7 @@ def _cmd_closed_form(args, out, _) -> dict:
     d = mesh.build(make_star(spec), args.h)
     u = starwaves.evaluate_wave(wave, d)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below when not finite
-        mass, energy = mesh.mass(u), minimizers.energy(u, args.p).total
+        mass, energy = mesh.mass(u), minimizers.energy(u, args.p)
     if not (math.isfinite(mass) and math.isfinite(energy)):
         raise DomainError(f"omega={args.omega} gives a mass {mass} and energy {energy} "
                           "that are not both finite")
@@ -261,10 +255,10 @@ def _cmd_validate(args, out, g) -> dict:
             rr = dd.apply(v) + omega * dd.m * v - dd.m * np.abs(v) ** (args.p - 1) * v
             return float(np.max(np.abs(rr)) / np.max(np.abs(v)))
 
+        curve_mass = starwaves.mass_curve(n, gamma, args.p, omega)   # refuses p first
         r1 = residual(d)
         r2 = residual(mesh.build(g, args.h / 2))
         check("stationarity_order_h2", r1 / r2, 3.0, r1 / r2 >= 3.0)
-        curve_mass = starwaves.mass_curve(n, gamma, args.p, omega)
         mass_err = abs(mesh.mass(starwaves.evaluate_wave(wave, d)) - curve_mass)
         # trapezoid quadrature error scales like h^2; 1e-4 floor at fine h
         tol_mass = max(1e-4, 0.15 * d.h_max**2 * curve_mass)
@@ -324,6 +318,7 @@ def _cmd_sweep(args, out, g) -> dict:
     ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

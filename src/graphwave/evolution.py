@@ -43,7 +43,7 @@ from .mesh import (
     mass,
     rescale_to_mass,
 )
-from .minimizers import energy
+from .minimizers import _start_powers, energy
 
 __all__ = [
     "EvolutionState",
@@ -66,8 +66,9 @@ class _Workspace:
     """One trajectory's storage: the CN elimination, factored and solved in
     one call per step, the step's buffers and the overflow guard."""
 
-    def __init__(self, u: GraphFunction, dt: float):
+    def __init__(self, u: GraphFunction, dt: float, t0: float):
         d = u.disc
+        self.t0 = t0   # the start's time, from which each state counts its steps
         self.elim = Elimination(d, np.complex128)
         self.neg_m, self.scale = -d.m, -4j * d.m / dt
         # the factored shift -m (gam + 2i/dt) keeps its imaginary part
@@ -85,24 +86,20 @@ class EvolutionState:
     u: GraphFunction
     gamma_relax: np.ndarray    # auxiliary nonlinearity field at the last half step
     dt: float
+    steps: int = 0             # steps since the trajectory's start: t = t0 + steps dt
     work: _Workspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt == 0.0:
             raise DomainError("dt must be nonzero")
-        self.work = self.work or _Workspace(self.u, self.dt)
+        self.work = self.work or _Workspace(self.u, self.dt, self.t)
 
 
 def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
     """Seed the relaxation field with |u0|^{p-1}, so the first step
-    degenerates to a midpoint linearization.  DomainError unless u0's mass
-    and max|u0|^(p-1) are finite."""
-    with np.errstate(over="ignore"):   # an overflow is refused below, naming the start
-        c, gam = mass(u0), np.abs(u0.values) ** (p - 1.0)
-    top = float(np.max(gam))
-    if not (math.isfinite(c) and math.isfinite(top)):
-        raise DomainError(f"the start u0 has mass {c:.6g} and max|u0|^(p-1) = {top:.6g}: "
-                          "both must be finite")
+    degenerates to a midpoint linearization.  DomainError unless u0's mass,
+    2 max|u0|^(p-1) (the first step's field) and sum m|u0|^(p+1) are finite."""
+    gam = _start_powers(u0.values, u0.disc.m, p, "the start u0")
     return EvolutionState(t=0.0, u=u0.copy(), gamma_relax=gam, dt=dt)
 
 
@@ -119,13 +116,14 @@ def step(state: EvolutionState, d: Discretization, p: float) -> EvolutionState:
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
     u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
-    t = state.t + dt
+    steps = state.steps + 1
+    t = work.t0 + steps * dt   # a sum of steps dt would drift
     sup = float(np.abs(u_next, out=work.abs).max())
     work.abs_of = u_next
     if not sup <= work.guard:   # a NaN in the state fails too
         raise BlowUpError(f"sup norm {sup:.6g} at t={t} is past the overflow guard "
                           f"{work.guard:.6g}: blow-up suspected", t=t)
-    return EvolutionState(t=t, u=GraphFunction(d, u_next), gamma_relax=gam, dt=dt, work=work)
+    return EvolutionState(t, GraphFunction(d, u_next), gam, dt, steps, work)
 
 
 @dataclass
@@ -185,7 +183,7 @@ def evolve(
     for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
         trace.times.append(state.t)
         trace.mass.append(mass(state.u))
-        trace.energy.append(energy(state.u, p).total)
+        trace.energy.append(energy(state.u, p))
         trace.sup.append(float(np.max(np.abs(state.u.values))))
     return state.u, trace
 
@@ -268,7 +266,7 @@ def stability_experiment(
     u0 = rescale_to_mass(GraphFunction(d, u0_vals), c, f"the start perturbed by delta={delta!r}")
 
     n_steps = _n_steps(t_final, dt)
-    e0 = energy(u0, p).total
+    e0 = energy(u0, p)
     e_scale = max(abs(e0), 1e-30)
 
     trace = StabilityTrace([], [], [], [])
@@ -280,5 +278,5 @@ def stability_experiment(
         # (the rescaled start has mass c only up to rounding)
         start = state.t == 0.0
         trace.mass_drift.append(0.0 if start else abs(mass(u) - c) / c)
-        trace.energy_drift.append(0.0 if start else abs(energy(u, p).total - e0) / e_scale)
+        trace.energy_drift.append(0.0 if start else abs(energy(u, p) - e0) / e_scale)
     return trace

@@ -233,10 +233,10 @@ def build(g: MetricGraph, target_h: float) -> Discretization:
                 diag_k[node] += inv
                 diag_w[node] += value * (h / 2.0)
 
-    diag_alpha = np.zeros(n_nodes)
+    diag = diag_k + diag_w
     for v in g.vertices:
-        diag_alpha[vertex_index[v.id]] -= v.alpha
-    return Discretization(g, tuple(grids), vertex_index, m, diag_k + diag_w + diag_alpha, diag_k)
+        diag[vertex_index[v.id]] -= v.alpha
+    return Discretization(g, tuple(grids), vertex_index, m, diag, diag_k)
 
 
 @cache
@@ -271,7 +271,7 @@ class Elimination:
     ``factor`` factors a fresh one once and returns it, called as solve(b);
     the CN time loop calls ``factor_solve`` on one per step.
 
-    A real shift first tries LAPACK ?pttrf, LDL^T without pivoting, which
+    A real shift first tries LAPACK ?pttrf (in ?ptsv), LDL^T without pivoting, which
     succeeds exactly when T is positive definite (``definite``); otherwise,
     and for a complex shift (T is then complex symmetric, not Hermitian),
     ?gttrf factors T with partial pivoting.  ?getrf factors the Schur
@@ -285,8 +285,8 @@ class Elimination:
         self.V, n = len(d.vertex_index), d.n_nodes
         self._gttrf, self._gttrs, self._gtsv, self._getrf, self._getrs = _lapack(
             ("gttrf", "gttrs", "gtsv", "getrf", "getrs"), self.dtype)
-        self._pttrf, self._pttrs = (_lapack(("pttrf", "pttrs"), float) if self.dtype == float
-                                    else (None, None))
+        self._ptsv, self._pttrs = (_lapack(("ptsv", "pttrs"), float) if self.dtype == float
+                                   else (None, None))
         # A's diagonal and off-diagonals cast once (read-only here), and what
         # each factor reuses: -B's coefficients, where B Z lands in S, n eps
         self._a, self._off = (v.astype(self.dtype, copy=False) for v in (d._diag, d._off))
@@ -316,16 +316,17 @@ class Elimination:
             self._schur(dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
 
     def _factor_definite(self, shift: np.ndarray) -> bool:
-        """refactor where the shift is real and T positive definite, by ?pttrf
-        in place; returns ``definite``.  Otherwise A + diag(shift) is loaded, unfactored."""
+        """refactor by ?ptsv (?pttrf, then ?pttrs for Z) where the shift is real and T
+        positive definite; returns ``definite``.  Otherwise A + diag(shift) is loaded, B^T kept."""
         diag, self.definite = self._load(shift), False
-        if self._pttrf is not None:
+        if self._ptsv is not None:
             np.copyto(self._dl, self._off)
-            dt, e, info = self._pttrf(diag[self.V:], self._dl, overwrite_d=1, overwrite_e=1)
+            dt, e, Z, info = self._ptsv(diag[self.V:], self._dl, self._R[:, 1:], overwrite_d=1,
+                                        overwrite_e=1, overwrite_b=1)
             if info == 0:
                 self.definite, self._T, self._trs = True, (dt, e), self._pttrs
-                self._schur(dt, self._trs(*self._T, self._R[:, 1:], overwrite_b=1)[0])
-            else:   # the failed attempt overwrote the diagonal
+                self._schur(dt, Z)
+            else:   # the failed ?pttrf overwrote the diagonal
                 np.add(self._a, shift, out=diag)
         return self.definite
 

@@ -56,7 +56,6 @@ from .mesh import (
 from .spectrum import GroundStatePair, ground_state
 
 __all__ = [
-    "EnergyBreakdown",
     "MinimizerResult",
     "energy",
     "feasibility_bound",
@@ -72,19 +71,24 @@ __all__ = [
 _NEWTON_STEPS = 10
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    kinetic_potential: float   # (1/2) form[u]
-    nonlinear: float           # -(1/(p+1)) ||u||_{p+1}^{p+1}
-    total: float
-
-
-def energy(u: GraphFunction, p: float) -> EnergyBreakdown:
+def energy(u: GraphFunction, p: float) -> float:
+    """E(u) = (1/2) form[u] - ||u||_{p+1}^{p+1} / (p+1)."""
     if not 1 <= p < math.inf:
         raise DomainError(f"energy needs finite p >= 1, got {p!r}")
-    quad_half = 0.5 * quadratic_form(u)
-    nonlin = -lp_norm(u, p + 1.0) ** (p + 1.0) / (p + 1.0)
-    return EnergyBreakdown(quad_half, nonlin, quad_half + nonlin)
+    return 0.5 * quadratic_form(u) - lp_norm(u, p + 1.0) ** (p + 1.0) / (p + 1.0)
+
+
+def _start_powers(u: np.ndarray, m: np.ndarray, p: float, what: str) -> np.ndarray:
+    """|u0|^(p-1) of a start u0, refused without a warning as DomainError naming ``what`` unless
+    its mass, 2 max|u0|^(p-1) (a CN step's first field) and sum m|u0|^(p+1) are finite."""
+    with np.errstate(over="ignore"):
+        a = np.abs(u)
+        ma2, gam = m * a * a, a ** (p - 1.0)
+        sums = float(ma2.sum()), 2.0 * float(gam.max()), float(np.vdot(gam, ma2))
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"{what} has mass {sums[0]:.6g}, 2 max|u0|^(p-1) = {sums[1]:.6g} and "
+                          f"sum m|u0|^(p+1) = {sums[2]:.6g}: all must be finite")
+    return gam
 
 
 def feasibility_bound(lambda0: float, r: float) -> float:
@@ -141,14 +145,17 @@ def minimize(
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
     Raises DomainError (p not in [5, errors.MAX_EXPONENT], c <= 0, r, tau or
-    tol not in (0, inf), max_iter not an integer >= 1, a start that
-    mesh.rescale_to_mass cannot scale to mass c; NaN fails every check),
+    tol not in (0, inf), a tau for which max m/tau overflows, max_iter not an
+    integer >= 1, a start that mesh.rescale_to_mass cannot scale to mass c or
+    whose 2 max|u|^(p-1) or sum m|u|^(p+1) overflows; NaN fails every check),
     FeasibilityError (c > r/lambda0), BallExitError (iterate left B(r)), or
     ConvergenceError (iteration cap).
     """
     check_arguments(p, c, r, tau, tol, max_iter)
     if tau is None:
         tau = d.h_max
+    elif not float(d.m.max()) / tau < math.inf:
+        raise DomainError(f"flow step tau={tau!r} is too small for this grid: max m/tau overflows")
     if ground is None:
         ground = ground_state(d, tol=1e-10)
     lam0 = ground.lambda0
@@ -164,6 +171,7 @@ def minimize(
          else init.values.astype(np.result_type(init.values, float)))
     u = rescale_to_mass(GraphFunction(d, u), c,
                         "the default start" if init is None else "init").values
+    _start_powers(u, d.m, p, f"the start u0 for mass c={c!r} and p={p!r}")
     try:
         u, it, s, newton_steps = _descend(d, p, c, r, tau, tol, max_iter, lam0, u)
     except GraphWaveError as exc:
@@ -399,5 +407,5 @@ def scaling_energy_curve(d: Discretization, p: float, u: GraphFunction, lambdas)
             return math.sqrt(lam) * (re + 1j * im)
 
         u_lam = d.from_edge_profiles(profile)
-        out.append((float(lam), energy(u_lam, p).total))
+        out.append((float(lam), energy(u_lam, p)))
     return out

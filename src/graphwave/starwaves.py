@@ -247,13 +247,13 @@ def solve_omega_for_mass(
 def monotone_window(n_edges: int, gamma: float, p: float) -> tuple[float, float]:
     """Window (threshold, omega_hi) on which the mass curve increases.
 
-    Samples 80 log-spaced points from just above the threshold to 400 times
-    it.  When the samples never decrease, omega_hi is the last one.
-    Otherwise the first decrease brackets the curve's maximum between the
-    samples either side of the peak sample, and a golden-section search on
-    mass_curve narrows that bracket to 1.5e-8 relative width; omega_hi is
-    its best point.  The curve is flat to round-off over about 1e-7 of
-    omega around its maximum, which bounds how well omega_hi is defined.
+    Samples 80 log-spaced points from just above the threshold to 400 times it.  When
+    the samples never decrease, omega_hi is the last one.  Otherwise the first decrease,
+    never at the first step (which rises for every 5 <= p <= 50), brackets the curve's
+    maximum between the samples either side of the peak sample, and a golden-section
+    search on mass_curve narrows that bracket to 1.5e-8 relative width; omega_hi is its
+    best point.  The curve is flat to round-off over about 1e-7 of omega around its
+    maximum, which bounds how well omega_hi is defined.
     """
     thr = ClosedFormWave.threshold(n_edges, gamma, 0)
     grid = np.geomspace(thr * (1.0 + 1e-3), 400.0 * thr, 80)
@@ -261,8 +261,6 @@ def monotone_window(n_edges: int, gamma: float, p: float) -> tuple[float, float]
     falls = np.flatnonzero(np.diff(vals) <= 0)
     if not len(falls):
         return float(thr), float(grid[-1])
-    if falls[0] == 0:
-        raise DomainError("no increasing prefix found: window detection failed")
     a, b = float(grid[falls[0] - 1]), float(grid[falls[0] + 1])
     x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     f1, f2 = (mass_curve(n_edges, gamma, p, x) for x in (x1, x2))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -351,7 +352,7 @@ def test_sweep_jobs_bounds(tmp_path, capsys, monkeypatch, star_file):
     def no_workers(*args, **kwargs):
         raise AssertionError("no worker may start for an out-of-range --jobs")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
     argv = ["sweep", star_file, "--p", "6", "--c-grid", "1.0:2.0:3", "--h", "0.5",
             "--tau", "1.0"]
     # 100000000000 does not fit a C int, so it must be refused before any pool exists
@@ -379,7 +380,7 @@ def test_sweep_jobs_bounds(tmp_path, capsys, monkeypatch, star_file):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, _ = run(capsys, argv + ["--jobs", str(cli.MAX_JOBS), "--out", tmp_path / "max"])
     assert code == 0
     assert sizes == [3]
@@ -408,7 +409,7 @@ def test_sweep_bad_arguments_exit_1(tmp_path, capsys, monkeypatch, star_file, op
     def not_reached(*args, **kwargs):
         raise AssertionError("arguments must be checked before any worker or solve")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", not_reached)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", not_reached)
     monkeypatch.setattr(spectrum, "ground_state", not_reached)
     argv = {"--p": "6", "--c-grid": "1.0:2.0:3", "--h": "0.5", "--tau": "1.0",
             "--tol": "1e-8", "--jobs": "2"}
@@ -864,6 +865,25 @@ def test_a_start_whose_squares_overflow_is_refused_naming_it(tmp_path, capsys, s
     command, *options = argv
     code, payload = run(capsys, [command, star_file, "--h", "0.5", *options, path,
                                  "--out", tmp_path / command])
+    assert code == 1
+    assert payload["error_type"] == "DomainError" and named in payload["error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, named", [
+    (["minimize", "--p", "50", "--c", "7", "--r", "3", "--h", "0.2", "--tau", "5e-324"],
+     "tau=5e-324"),
+    (["sweep", "--p", "50", "--c-grid", "1:7:2", "--r", "3", "--h", "0.2", "--tau", "5e-324"],
+     "tau=5e-324"),
+    (["validate", "--p", "1.0000001", "--h", "0.2"], "needs 5 <= p <= 50"),
+])
+def test_a_tau_or_p_found_by_extreme_values_is_refused_without_a_warning(tmp_path, capsys,
+                                                                         star_file, argv, named):
+    # m / tau overflowed before minimize blamed the matrix ("pivot inf"), and
+    # validate divided by the zero sup norm of a wave sampled at p = 1.0000001
+    # before the mass curve refused p: each a RuntimeWarning first
+    command, *options = argv
+    code, payload = run(capsys, [command, star_file, *options, "--out", tmp_path / command])
     assert code == 1
     assert payload["error_type"] == "DomainError" and named in payload["error"]
 

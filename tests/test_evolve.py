@@ -127,7 +127,7 @@ def test_trajectory_reusing_the_modulus_is_bit_identical(small_setup, sample_eve
         # step gets fresh storage and computes |u| afresh
         state = step(EvolutionState(state.t, state.u, state.gamma_relax, state.dt), d, 5.0)
         if k % sample_every == 0:
-            energies.append(evolution.energy(state.u, 5.0).total)
+            energies.append(evolution.energy(state.u, 5.0))
     np.testing.assert_array_equal(uT.values, state.u.values)
     assert trace.energy == energies
 
@@ -196,6 +196,33 @@ def test_a_start_whose_power_overflows_is_refused_before_any_step(small_setup):
     u0.values[0] = 1e100
     with pytest.raises(DomainError, match=r"max\|u0\|\^\(p-1\) = inf"):
         evolve(d, 7.0, u0, 0.01, 0.1)
+
+
+def test_a_start_whose_first_step_overflows_is_refused_naming_it():
+    # max|u0|^49 is finite, but the first step's field 2|u0|^49 and the
+    # energy's sum m|u0|^51 are not: evolve warned "overflow encountered in
+    # power" and then blamed the matrix ("A + diag(shift) is singular")
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
+    u0 = d.zeros()
+    u0.values[5] = 0.999 * 1e308 ** (1.0 / 49.0)
+    with pytest.raises(DomainError, match=r"the start u0 .* 2 max\|u0\|\^\(p-1\) = inf"):
+        evolve(d, 50.0, u0, 0.01, 0.02)
+
+
+def test_sample_times_are_whole_multiples_of_dt(small_setup):
+    # a state counts its steps from the trajectory's start: t = k dt, where
+    # summing dt 2000 times ended at 20.000000000000327
+    d, _ = small_setup
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
+    _, trace = evolve(d, 5.0, u0, 0.01, 20.0, sample_every=100)
+    assert trace.times == [k * 0.01 for k in range(0, 2001, 100)]
+    assert trace.times[-1] == 20.0
+    state = initial_state(u0, 0.01, 5.0)
+    for k in range(1, 101):
+        state = step(state, d, 5.0)
+    assert state.t == trace.times[1]
+    stab = stability_experiment(d, 5.0, u0, 0.0, 20.0, 0.01, n_samples=4)
+    assert stab.times == [k * 0.01 for k in range(0, 2001, 500)]
 
 
 def test_step_count_is_capped():

@@ -14,8 +14,8 @@ EXPORTED = {
             "Vertex ZeroPotential make_star parse_graph serialize_graph",
     mesh: "Discretization GraphFunction build g_norm_sq gn_ratio grad_norm_sq h1_inner "
           "h1_norm_sq load_function_csv lp_norm mass quadratic_form save_function_csv",
-    minimizers: "EnergyBreakdown MinimizerResult energy feasibility_bound lagrange_multiplier "
-                "minimize scaling_energy_curve structure_diagnostics",
+    minimizers: "MinimizerResult energy feasibility_bound lagrange_multiplier minimize "
+                "scaling_energy_curve structure_diagnostics",
     spectrum: "GroundStatePair ground_state spectral_gap spectral_gap_report",
     starwaves: "ClosedFormWave evaluate_wave h_integral mass_curve monotone_window profile_f "
                "solve_omega_for_mass",

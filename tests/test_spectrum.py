@@ -263,7 +263,7 @@ def test_a_newton_step_stalled_under_an_edge_eigenvalue_is_not_taken_for_converg
 def test_a_trial_shift_with_t_indefinite_runs_no_gttrf(monkeypatch):
     # the well on f binds inside the edge, so T is indefinite at sigma = 0: no
     # step is taken from that trial factor, and the solves from below factor T
-    # by ?pttrf.  The trial at 0 ran ?gttrf, a Z solve and the Schur
+    # by ?ptsv.  The trial at 0 ran ?gttrf, a Z solve and the Schur
     # complement, and nothing read them
     g = MetricGraph(
         vertices=(Vertex("a", 0.5), Vertex("b", 0.5)),

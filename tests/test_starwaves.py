@@ -209,6 +209,26 @@ def test_monotone_window_shapes():
     assert mass_curve(3, 1.0, 6.0, hi6 * 2.0) < mass_curve(3, 1.0, 6.0, hi6)
 
 
+def test_the_window_search_always_finds_an_increasing_prefix():
+    # monotone_window samples omega = thr s_k for fixed s_k, and
+    # gamma / (N sqrt(omega)) = 1/sqrt(s_k): N and gamma scale the mass by one
+    # positive factor, s_k^e H(1/sqrt(s_k), p) with e = (5-p)/(2(p-1)) is
+    # left, and the sign of the first sampled step depends on p alone.  It
+    # rises by more than 10 % for every 5 <= p <= 50 (least at p = 50), so
+    # the first sampled step never falls and the window always has a prefix
+    s = np.geomspace(1.001, 400.0, 80)[:2]
+    for p in np.linspace(5.0, 50.0, 91):
+        e = (5.0 - p) / (2.0 * (p - 1.0))
+        rise = ((s[1] / s[0]) ** e * h_integral(1.0 / math.sqrt(s[1]), p)
+                / h_integral(1.0 / math.sqrt(s[0]), p))
+        assert rise > 1.1
+        for n_edges, gamma in ((2, 1e-3), (3, 1.0), (7, 40.0), (50, 1e5)):
+            thr = ClosedFormWave.threshold(n_edges, gamma)
+            w = np.geomspace(thr * (1.0 + 1e-3), 400.0 * thr, 80)[:2]
+            got = mass_curve(n_edges, gamma, p, w[1]) / mass_curve(n_edges, gamma, p, w[0])
+            assert got == pytest.approx(rise, rel=1e-11)
+
+
 def test_mass_curve_slope_positive_on_window():
     thr, hi = monotone_window(3, 1.0, 6.0)
     omegas = np.linspace(thr * 1.02, hi * 0.98, 12)
