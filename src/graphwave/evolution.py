@@ -105,9 +105,10 @@ def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
 
 def step(state: EvolutionState, d: Discretization, p: float) -> EvolutionState:
     """One relaxation Crank-Nicolson step in the state's workspace; BlowUpError
-    past its guard, _BLOW_UP_RATIO times the start's sup norm.  The linear flow
-    is the step at vanishing amplitude: |u|^{p-1} then falls below every
-    diagonal entry's last digit."""
+    past its guard, _BLOW_UP_RATIO times the start's sup norm, and DomainError
+    naming t, dt, p and max|u|^(p-1) where the step's matrix is singular to
+    working precision.  The linear flow is the step at vanishing amplitude:
+    |u|^{p-1} then falls below every diagonal entry's last digit."""
     u, dt, work = state.u.values, state.dt, state.work
     gam = np.power(work.abs if work.abs_of is u else np.abs(u), p - 1.0)
     gam *= 2.0
@@ -115,7 +116,13 @@ def step(state: EvolutionState, d: Discretization, p: float) -> EvolutionState:
     np.multiply(work.neg_m, gam, out=work.shift.real)
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
-    u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
+    try:
+        u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
+    except DomainError as exc:
+        with np.errstate(over="ignore"):
+            big = np.max(np.abs(u)) ** (p - 1.0)
+        raise DomainError(f"the Crank-Nicolson step from t={state.t!r} by dt={dt!r} at p={p!r}, "
+                          f"where max|u|^(p-1) = {big:.3g}: {exc}") from None
     steps = state.steps + 1
     t = work.t0 + steps * dt   # a sum of steps dt would drift
     sup = float(np.abs(u_next, out=work.abs).max())

@@ -12,7 +12,7 @@ The form matrix A realizes the energy form
 with piecewise-linear element gradients and lumped (trapezoid) mass, so
 ``u.conj() @ A @ u`` approximates the form to O(h^2) and the mass matrix is
 the diagonal of the lumped weights ``m``.  A is held as arrays, which
-``Discretization.apply`` multiplies by and ``factor`` solves with.
+``Discretization.apply`` multiplies by and ``Elimination`` solves with.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "GraphFunction",
     "build",
     "check_grid",
-    "factor",
     "mass",
     "rescale_to_mass",
     "quadratic_form",
@@ -51,8 +50,8 @@ __all__ = [
     "load_function_csv",
 ]
 
-# most nodes and vertices build() accepts (factor's Schur complement is a
-# dense V x V matrix); larger grids are refused before anything is allocated
+# most nodes and vertices build() accepts (an Elimination's Schur complement
+# is a dense V x V matrix); larger grids are refused before anything is allocated
 MAX_NODES = 10**7
 MAX_VERTICES = 1000
 
@@ -143,12 +142,6 @@ class Discretization:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in ("A", "K")}
-
-    def zeros(self, dtype=np.complex128) -> "GraphFunction":
-        return GraphFunction(self, np.zeros(self.n_nodes, dtype=dtype))
-
-    def constant(self, value=1.0) -> "GraphFunction":
-        return GraphFunction(self, np.full(self.n_nodes, value, dtype=np.complex128))
 
     def from_edge_profiles(self, profile) -> "GraphFunction":
         """Sample ``profile(edge_index, x_array) -> values`` on every edge.
@@ -268,8 +261,8 @@ class Elimination:
     kept across refactors: the off-diagonals cast once to the factor's
     dtype, the factor of the interior block T (see Discretization), Z with
     as many columns as the graph needs and the Schur complement's LU.
-    ``factor`` factors a fresh one once and returns it, called as solve(b);
-    the CN time loop calls ``factor_solve`` on one per step.
+    Every solve is ``refactor`` (or ``_factor_definite``) into one, then
+    ``solve_in_place``; the CN time loop calls ``factor_solve`` on one per step.
 
     A real shift first tries LAPACK ?pttrf (in ?ptsv), LDL^T without pivoting, which
     succeeds exactly when T is positive definite (``definite``); otherwise,
@@ -409,25 +402,12 @@ class Elimination:
 
     def solve_in_place(self, x: np.ndarray) -> None:
         """Overwrite x, of shape (n, k) and the factor's dtype, with the
-        solution of (A + diag(shift)) y = x."""
+        solution of (A + diag(shift)) y = x.  A real factor solves a complex b
+        as x = b.view(float).reshape(n, -1): its real and imaginary columns."""
         b = x.copy() if self.refine else None
         self._eliminate(x)
         if self.refine:
             x += self._eliminate(b - (self.d.apply(x) + self.shift[:, None] * x))
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        """The solution for b of shape (n,) or (n, k), as a new array; a real
-        factor solves a complex b as real and imaginary columns."""
-        x = b.reshape(self.d.n_nodes, -1)
-        split = self.dtype == float and np.iscomplexobj(b)
-        if split:
-            x = np.hstack([x.real, x.imag])
-        # column-major like LAPACK's own output, so a column is contiguous
-        y = np.array(x, self.dtype, order="F")
-        self.solve_in_place(y)
-        if split:
-            y = y[:, :y.shape[1] // 2] + 1j * y[:, y.shape[1] // 2:]
-        return y.reshape(b.shape)
 
     def n_negative(self) -> int:
         """For a real shift, the number of negative eigenvalues of
@@ -443,19 +423,6 @@ class Elimination:
         lam, vec = np.linalg.eigh(self._S)
         self.lowest = lam[0], vec[:, 0]
         return in_t + int(np.sum(lam < 0.0))
-
-
-def factor(d: Discretization, shift: np.ndarray) -> Elimination:
-    """Factor A + diag(shift) once into a fresh Elimination and return it:
-    solve(b) solves for b of shape (n,) or (n, k), and, for a real shift,
-    solve.n_negative() counts the negative eigenvalues of A + diag(shift).
-
-    The flow and the spectral gap use it; the ground state, Newton and the CN
-    step refactor their own.  DomainError when singular to working precision."""
-    shift = np.asarray(shift)
-    solve = Elimination(d, np.result_type(d._diag, shift))
-    solve.refactor(shift)
-    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .mesh import (
     Discretization,
     Elimination,
     GraphFunction,
-    factor,
     lp_norm,
     mass,
     quadratic_form,
@@ -288,8 +287,10 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
                 u, s, steps = polished
                 return u, it, s, steps
         if solve is None:   # factored only once the flow takes a step
-            solve = factor(d, m / tau)
-        v = solve(m * (u / tau + s.nonlin - s.omega_hat * u))
+            solve = Elimination(d, float)
+            solve.refactor(m / tau)
+        v = m * (u / tau + s.nonlin - s.omega_hat * u)
+        solve.solve_in_place(v.view(float).reshape(d.n_nodes, -1))   # a complex v as 2 columns
         u = v * math.sqrt(c / float(np.real(np.vdot(v, m * v))))
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (residual {residual:.3e})",

@@ -2,8 +2,8 @@
 normalized eigenfunction, and, only when asked, the distance to the
 second eigenvalue.
 
-Solves A psi = mu M psi (M = diagonal lumped mass) with mesh.factor's O(n)
-edge/vertex elimination of A - sigma M.  ground_state runs Newton on the
+Solves A psi = mu M psi (M = diagonal lumped mass) with mesh.Elimination's
+O(n) edge/vertex elimination of A - sigma M.  ground_state runs Newton on the
 vertex secular equation: the lowest eigenvalue of the V x V Schur
 complement S(sigma) vanishes at the bottom of the spectrum.  Each step is
 one refactor; below 0 the steps are taken in kappa = sqrt(-sigma), in which
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError
-from .mesh import Discretization, Elimination, GraphFunction, factor
+from .mesh import Discretization, Elimination, GraphFunction
 
 __all__ = ["GroundStatePair", "ground_state", "spectral_gap", "spectral_gap_report"]
 
@@ -175,7 +175,7 @@ def ground_state(d: Discretization, tol: float = 1e-10) -> GroundStatePair:
 def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
     """Second eigenvalue minus the smallest; returns (gap, solves).
 
-    Lanczos on x -> (A - sigma M)^{-1} M x, one mesh.factor solve per step,
+    Lanczos on x -> (A - sigma M)^{-1} M x, one solve_in_place per step,
     in the M inner product where that operator is symmetric, with the shift
     just above -lambda0 so that its two eigenvalues theta of largest
     magnitude are the two smallest mu = sigma + 1/theta.  The basis is
@@ -191,7 +191,8 @@ def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
     """
     d, m, mu0 = pair.psi0.disc, pair.psi0.disc.m, -pair.lambda0
     sigma = mu0 + 1e-6 * (abs(mu0) + 1.0)
-    solve = factor(d, -sigma * m)
+    solve = Elimination(d, float)
+    solve.refactor(-sigma * m)
     Q = np.empty((min(_MAX_LANCZOS, d.n_nodes), d.n_nodes))
     alpha, beta = np.zeros((2, len(Q)))   # T's diagonal and off-diagonal
     # the start: splitmix64 (Steele, Lea & Flood 2014) of 1 .. n, uniform in [-1/2, 1/2).
@@ -203,7 +204,8 @@ def spectral_gap(pair: GroundStatePair) -> tuple[float, int]:
     b = np.sqrt((m * w) @ w)
     for k in range(len(Q)):
         Q[k] = w / b
-        w = solve(m * Q[k])
+        w = m * Q[k]
+        solve.solve_in_place(w[:, None])
         for _ in range(2):   # full reorthogonalization, twice
             c = Q[:k + 1] @ (m * w)
             w -= c @ Q[:k + 1]

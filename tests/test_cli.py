@@ -338,7 +338,7 @@ def test_minimize_bad_numbers_are_domain_errors(tmp_path, capsys, monkeypatch, s
         raise AssertionError("arguments must be checked before any solve")
 
     monkeypatch.setattr(minimizers, "ground_state", not_reached)
-    monkeypatch.setattr(minimizers, "factor", not_reached)
+    monkeypatch.setattr(minimizers, "Elimination", not_reached)
     argv = {"--p": "6", "--c": "1.5", "--h": "0.5", "--tau": "1.0", "--tol": "1e-8"}
     argv[option] = value
     code, payload = run(
@@ -782,14 +782,22 @@ def test_factor_is_bit_identical_through_either_lapack_loader():
               "rng = np.random.default_rng(1)\n"
               "b = rng.standard_normal((d.n_nodes, 2))\n"
               "s = d.m * rng.uniform(-1.0, 1.0, d.n_nodes)\n"
-              "below = mesh.factor(d, s + 2.0 * d.m)   # A + M > 0: LDL^T\n"
-              "real = mesh.factor(d, s - 2.0 * d.m)    # T indefinite: ?gttrf\n"
-              "cplx = mesh.factor(d, s - 2j * d.m)\n"
+              "def factored(shift):\n"
+              "    solve = mesh.Elimination(d, shift.dtype)\n"
+              "    solve.refactor(shift)\n"
+              "    return solve\n"
+              "def solved(solve, x):\n"
+              "    x = x.astype(solve.dtype)\n"
+              "    solve.solve_in_place(x)\n"
+              "    return x\n"
+              "below = factored(s + 2.0 * d.m)   # A + M > 0: LDL^T\n"
+              "real = factored(s - 2.0 * d.m)    # T indefinite: ?gttrf\n"
+              "cplx = factored(s - 2j * d.m)\n"
               "assert below.definite and not real.definite\n"
               "fused = mesh.Elimination(d, complex).factor_solve(s - 2j * d.m, 1j * d.m,\n"
               "                                                  b[:, 0] + 1j * b[:, 1])\n"
-              "out = [below(b), real(b), cplx(b + 1j * b[:, ::-1]), fused,\n"
-              "       np.array([below.n_negative(), real.n_negative()])]\n"
+              "out = [solved(below, b), solved(real, b), solved(cplx, b + 1j * b[:, ::-1]),\n"
+              "       fused, np.array([below.n_negative(), real.n_negative()])]\n"
               "print(hashlib.sha256(b''.join(x.tobytes() for x in out)).hexdigest(),\n"
               "      'scipy.linalg' in sys.modules)\n")
     by_file, fallback = (python_with_graphwave(script, mode) for mode in ("file", "fallback"))
@@ -814,7 +822,7 @@ def test_non_finite_function_csv_is_a_schema_error(tmp_path, capsys, star_file, 
     # with a NaN residual in the JSON) or the factor ("singular: pivot nan")
     d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
     good, path = tmp_path / "good.csv", tmp_path / "bad.csv"
-    mesh.save_function_csv(d.constant(0.1), good)
+    mesh.save_function_csv(mesh.GraphFunction(d, np.full(d.n_nodes, 0.1, complex)), good)
     with good.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     target = next(row for row in rows if row["edge_id"] == "e2" and float(row["x"]) == 1.5)
@@ -839,7 +847,7 @@ def test_minimize_refuses_an_init_it_cannot_rescale_to_mass_c(tmp_path, capsys, 
     # with a zero "minimizer"
     d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
     path, out = tmp_path / "init.csv", tmp_path / "m"
-    mesh.save_function_csv(d.constant(value), path)
+    mesh.save_function_csv(mesh.GraphFunction(d, np.full(d.n_nodes, value, complex)), path)
     code, payload = run(capsys, ["minimize", star_file, "--p", "6", "--c", "1.5", "--h", "0.5",
                                  "--tau", "1", "--init", path, "--out", out])
     assert code == 1
@@ -861,7 +869,7 @@ def test_a_start_whose_squares_overflow_is_refused_naming_it(tmp_path, capsys, s
     # after RuntimeWarnings
     d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
     path = tmp_path / "big.csv"
-    mesh.save_function_csv(d.constant(1e300), path)
+    mesh.save_function_csv(mesh.GraphFunction(d, np.full(d.n_nodes, 1e300, complex)), path)
     command, *options = argv
     code, payload = run(capsys, [command, star_file, "--h", "0.5", *options, path,
                                  "--out", tmp_path / command])
@@ -931,7 +939,7 @@ def test_spectral_gap_step_cap_exits_2(tmp_path, capsys, monkeypatch, star_file)
 def write_function_csv_with(path, extra_row):
     """A constant profile on the h = 0.5 3-star, with extra_row appended."""
     d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
-    mesh.save_function_csv(d.constant(0.1), path)
+    mesh.save_function_csv(mesh.GraphFunction(d, np.full(d.n_nodes, 0.1, complex)), path)
     with path.open("a", newline="") as fh:
         csv.writer(fh).writerow(extra_row)
     return path

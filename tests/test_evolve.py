@@ -192,7 +192,7 @@ def test_a_start_whose_power_overflows_is_refused_before_any_step(small_setup):
     # mass 1e200 m is finite, but |u0|^{p-1} = 1e600 is not: the first
     # factor would have seen inf and NaN
     d, _ = small_setup
-    u0 = d.zeros()
+    u0 = GraphFunction(d, np.full(d.n_nodes, 0j))
     u0.values[0] = 1e100
     with pytest.raises(DomainError, match=r"max\|u0\|\^\(p-1\) = inf"):
         evolve(d, 7.0, u0, 0.01, 0.1)
@@ -203,10 +203,26 @@ def test_a_start_whose_first_step_overflows_is_refused_naming_it():
     # energy's sum m|u0|^51 are not: evolve warned "overflow encountered in
     # power" and then blamed the matrix ("A + diag(shift) is singular")
     d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.5)
-    u0 = d.zeros()
+    u0 = GraphFunction(d, np.full(d.n_nodes, 0j))
     u0.values[5] = 0.999 * 1e308 ** (1.0 / 49.0)
     with pytest.raises(DomainError, match=r"the start u0 .* 2 max\|u0\|\^\(p-1\) = inf"):
         evolve(d, 50.0, u0, 0.01, 0.02)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_step_is_refused_naming_t_dt_p_and_the_field():
+    # 3x the exact p = 50 star wave has max|u0|^49 = 5.4e24, which puts the
+    # largest diagonal entry near 1e23: the first step's matrix is refused as
+    # singular, and the refusal named no input.  3x the p = 20 wave evolves
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.1)
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 50.0, 1.0), d)
+    u0.values *= 3.0
+    with pytest.raises(DomainError, match=r"step from t=0\.0 by dt=0\.01 at p=50\.0, where "
+                       r"max\|u\|\^\(p-1\) = 5\.42e\+24: A \+ diag\(shift\) is singular"):
+        evolve(d, 50.0, u0, 0.01, 0.05)
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 20.0, 1.0), d)
+    u0.values *= 3.0
+    assert evolve(d, 20.0, u0, 0.01, 0.05)[1].times[-1] == 0.05
 
 
 def test_sample_times_are_whole_multiples_of_dt(small_setup):
@@ -273,7 +289,7 @@ def test_chained_steps_share_one_elimination(monkeypatch, small_setup):
 @pytest.mark.filterwarnings("error")
 def test_initial_state_refuses_a_start_whose_power_overflows(small_setup):
     d, _ = small_setup
-    u0 = d.zeros()
+    u0 = GraphFunction(d, np.full(d.n_nodes, 0j))
     u0.values[0] = 1e100
     with pytest.raises(DomainError, match=r"max\|u0\|\^\(p-1\) = inf"):
         initial_state(u0, 0.01, 7.0)
@@ -308,7 +324,7 @@ def test_orbit_distance_identities(small_setup):
     assert (t2 - t1) == pytest.approx(alpha, abs=1e-10)
 
     with pytest.raises(DomainError):
-        orbit_distance(phi, d.zeros())
+        orbit_distance(phi, GraphFunction(d, np.full(d.n_nodes, 0j)))
 
 
 @pytest.fixture(scope="module")

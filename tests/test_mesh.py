@@ -12,7 +12,6 @@ from graphwave.graphs import Edge, MetricGraph, StarGraphSpec, Vertex, make_star
 from graphwave.mesh import (
     GraphFunction,
     build,
-    factor,
     g_norm_sq,
     gn_ratio,
     grad_norm_sq,
@@ -25,6 +24,11 @@ from graphwave.mesh import (
 )
 from graphwave.spectrum import ground_state
 from strategies import small_graphs as graphs_with_potentials
+
+
+def full(d, value):
+    """The grid function of constant value on d."""
+    return GraphFunction(d, np.full(d.n_nodes, value, complex))
 
 
 def segment_graph(length=1.0, alpha_a=0.0, alpha_b=0.0):
@@ -100,9 +104,9 @@ def test_build_node_limit(monkeypatch):
 
 
 def test_mass_examples(disc_h01, ground_h01):
-    assert mass(disc_h01.zeros()) == 0.0
+    assert mass(full(disc_h01, 0.0)) == 0.0
     # u = 1: total measure 120 up to the eliminated half-weight at each truncation
-    total = mass(disc_h01.constant(1.0))
+    total = mass(full(disc_h01, 1.0))
     assert total == pytest.approx(120.0, abs=3 * 0.01 / 2 + 1e-9)
     assert mass(ground_h01.psi0) == pytest.approx(1.0, abs=1e-12)
 
@@ -115,7 +119,7 @@ def test_weights_positive_and_sum(disc_h01):
 def test_form_zero_and_sine_line():
     L = 10.0
     d = build(line_graph(alpha=0.0, length=L), 0.01)
-    assert quadratic_form(d.zeros()) == 0.0
+    assert quadratic_form(full(d, 0.0)) == 0.0
     u = d.from_edge_profiles(lambda k, x: np.sin(math.pi * x / L) * (1 if k == 0 else -1))
     exact = 2.0 * (math.pi / L) ** 2 * (L / 2.0)
     assert quadratic_form(u) == pytest.approx(exact, rel=1e-3)
@@ -132,7 +136,7 @@ def test_form_constant_sees_only_vertex_term():
         ),
     )
     d = build(g, 0.05)
-    assert quadratic_form(d.constant(1.0)) == pytest.approx(-0.75, abs=1e-12)
+    assert quadratic_form(full(d, 1.0)) == pytest.approx(-0.75, abs=1e-12)
 
 
 def test_stiffness_kernel_contains_constants_on_compact_graph():
@@ -148,7 +152,7 @@ def test_stiffness_kernel_contains_constants_on_compact_graph():
 
 def test_g_norm_examples(disc_h01, ground_h01):
     lam0 = ground_h01.lambda0
-    assert g_norm_sq(disc_h01.zeros(), lam0) == 0.0
+    assert g_norm_sq(full(disc_h01, 0.0), lam0) == 0.0
     c = 2.7
     psi_c = GraphFunction(disc_h01, math.sqrt(c) * ground_h01.psi0.values)
     assert g_norm_sq(psi_c, lam0) == pytest.approx(lam0 * c, abs=1e-8)
@@ -163,9 +167,9 @@ def test_g_norm_lower_bound_random(disc_h01, ground_h01, rng):
 
 
 def test_lp_norm_examples(disc_h01, rng):
-    assert lp_norm(disc_h01.zeros(), 6.0) == 0.0
+    assert lp_norm(full(disc_h01, 0.0), 6.0) == 0.0
     measure = float(np.sum(disc_h01.m))
-    assert lp_norm(disc_h01.constant(1.0), 6.0) == pytest.approx(measure ** (1 / 6), rel=1e-12)
+    assert lp_norm(full(disc_h01, 1.0), 6.0) == pytest.approx(measure ** (1 / 6), rel=1e-12)
     for _ in range(5):
         u = rng.standard_normal(disc_h01.n_nodes)
         v = rng.standard_normal(disc_h01.n_nodes)
@@ -173,11 +177,11 @@ def test_lp_norm_examples(disc_h01, rng):
         rhs = lp_norm(GraphFunction(disc_h01, u), 3.0) + lp_norm(GraphFunction(disc_h01, v), 3.0)
         assert lhs <= rhs + 1e-12
     with pytest.raises(DomainError):
-        lp_norm(disc_h01.constant(1.0), 0.5)
+        lp_norm(full(disc_h01, 1.0), 0.5)
 
 
 def test_h1_norm_examples(disc_h01, ground_h01, rng):
-    assert h1_norm_sq(disc_h01.zeros()) == 0.0
+    assert h1_norm_sq(full(disc_h01, 0.0)) == 0.0
     # constant on a compact graph: no gradient, h1 = measure exactly
     g = MetricGraph(
         vertices=(Vertex("v", 0.0), Vertex("a"), Vertex("b"), Vertex("c")),
@@ -185,12 +189,12 @@ def test_h1_norm_examples(disc_h01, ground_h01, rng):
                Edge("e3", "v", "c", 50.0)),
     )
     dc = build(g, 0.05)
-    assert h1_norm_sq(dc.constant(1.0)) == pytest.approx(120.0, abs=1e-9)
-    assert grad_norm_sq(dc.constant(1.0)) == 0.0
+    assert h1_norm_sq(full(dc, 1.0)) == pytest.approx(120.0, abs=1e-9)
+    assert grad_norm_sq(full(dc, 1.0)) == 0.0
     # on the truncated star the constant pays the Dirichlet kink at each far end
     kink = sum(1.0 / eg.h for eg in disc_h01.edge_grids if eg.gidx[-1] < 0)
     measure = float(np.sum(disc_h01.m))
-    assert h1_norm_sq(disc_h01.constant(1.0)) == pytest.approx(measure + kink, rel=1e-12)
+    assert h1_norm_sq(full(disc_h01, 1.0)) == pytest.approx(measure + kink, rel=1e-12)
     # equivalence with the localization norm: finite empirical constant
     lam0 = ground_h01.lambda0
     ratios = []
@@ -240,7 +244,7 @@ def test_gn_ratio_invariances(disc_h02, rng):
     scaled = GraphFunction(disc_h02, 2.0 * np.exp(1j * 0.7) * u.values)
     assert gn_ratio(scaled, 5.0) == pytest.approx(base, rel=1e-13)
     with pytest.raises(DomainError):
-        gn_ratio(disc_h02.zeros(), 5.0)
+        gn_ratio(full(disc_h02, 0.0), 5.0)
 
 
 def test_gn_ratio_scaling_family_on_line():
@@ -269,7 +273,7 @@ def test_csv_roundtrip(tmp_path, disc_h02, rng):
 def test_csv_rejects_mismatched_grid(tmp_path, disc_h02):
     other = build(make_star(StarGraphSpec(3, 1.0, 40.0)), 0.03)
     path = tmp_path / "fn.csv"
-    save_function_csv(other.zeros(), path)
+    save_function_csv(full(other, 0.0), path)
     with pytest.raises(SchemaError, match="does not match the grid"):
         load_function_csv(disc_h02, path)
 
@@ -341,7 +345,7 @@ def test_csv_columns_are_found_by_name(tmp_path, disc_h02, rng):
 def test_csv_match_tolerance(tmp_path, disc_h02, rel, ok):
     # x is matched to 1e-9 (1 + |x|): at x = 10 a 2e-9 relative shift is out
     path = tmp_path / "fn.csv"
-    save_function_csv(disc_h02.constant(1.0), path)
+    save_function_csv(full(disc_h02, 1.0), path)
     header, *rows = path.read_text().splitlines()
     k = next(i for i, row in enumerate(rows) if row.split(",")[1] == "10.0")
     edge, x, re_, im = rows[k].split(",")
@@ -391,7 +395,22 @@ def test_factor_singular_matrix_is_a_domain_error():
     # with h = 1/4 the elimination is exact, so SuperLU meets a zero pivot
     d = build(segment_graph(1.0), 0.25)
     with pytest.raises(DomainError, match="singular"):
-        factor(d, np.zeros(d.n_nodes))
+        factored(d, np.zeros(d.n_nodes))
+
+
+def factored(d, shift):
+    """A + diag(shift) refactored into an Elimination of the shift's dtype."""
+    solve = mesh.Elimination(d, np.result_type(d._diag, shift))
+    solve.refactor(shift)
+    return solve
+
+
+def solved(solve, b):
+    """The solution for b, of shape (n,) or (n, k), as a new array; a complex b
+    on a real factor through its float view, as the flow solves its iterate."""
+    x = np.array(b, np.result_type(b, solve.dtype))
+    solve.solve_in_place((x.view(float) if solve.dtype == float else x).reshape(len(x), -1))
+    return x
 
 
 def rel_err(x, ref):
@@ -414,12 +433,12 @@ def test_factor_matches_dense_solve(d, seed):
     b_complex = b_real + 1j * rng.standard_normal(n)
     for s, b in ((s_real, b_real), (s_real, b_complex), (s_complex, b_complex)):
         ref = np.linalg.solve(dense + np.diag(s), b)
-        x = factor(d, s)(b)
+        x = solved(factored(d, s), b)
         assert x.dtype == ref.dtype
         assert rel_err(x, ref) <= 1e-10
     # the real shift lies below the spectrum: T is definite and LDL^T factors it
     assert np.linalg.eigvalsh(dense + np.diag(s_real))[0] > 0.0
-    solve = factor(d, s_real)
+    solve = factored(d, s_real)
     assert solve.definite and solve.n_negative() == 0
 
 
@@ -432,7 +451,7 @@ def test_factor_counts_negative_eigenvalues(d, seed, level):
     s = d.m * (level + rng.uniform(-0.5, 0.5, d.n_nodes))
     eig = np.linalg.eigvalsh(d.A.toarray() + np.diag(s))
     assume(np.min(np.abs(eig)) > 1e-8 * np.max(np.abs(eig)))
-    assert factor(d, s).n_negative() == int(np.sum(eig < 0.0))
+    assert factored(d, s).n_negative() == int(np.sum(eig < 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,7 +467,7 @@ def test_linear_step_conserves_mass(d, seed, dt):
 @settings(max_examples=60, deadline=None)
 @given(d=small_graphs())
 def test_build_numbers_each_edge_interior_contiguously(d):
-    # factor() relies on it: the vertices come first, then every edge's
+    # the Elimination relies on it: the vertices come first, then every edge's
     # interior nodes as one run, edge after edge, and the runs cover the rest
     V = len(d.graph.vertices)
     assert sorted(d.vertex_index.values()) == list(range(V))
@@ -508,8 +527,8 @@ def test_factor_matches_dense_solve_indefinite(d, seed, n_negative, pull):
     assume(np.min(np.abs(eig)) >= 1e-3 * np.max(d.m))
     assert np.sum(eig < 0) == n_negative
     b = rng.standard_normal((n, 2))
-    solve = factor(d, s)
-    x = solve(b)
+    solve = factored(d, s)
+    x = solved(solve, b)
     ref = np.linalg.solve(dense + np.diag(s), b)
     assert x.shape == (n, 2) and x.dtype == np.float64
     for j in range(2):
@@ -536,7 +555,7 @@ def test_factor_near_a_dirichlet_eigenvalue_of_an_edge():
     s = -sigma * d.m
     b = np.ones(d.n_nodes)
     ref = np.linalg.solve(d.A.toarray() + np.diag(s), b)
-    assert rel_err(factor(d, s)(b), ref) <= 1e-10
+    assert rel_err(solved(factored(d, s), b), ref) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,15 +615,15 @@ def test_three_column_real_solve_back_substitutes_as_the_per_node_gather_did():
     V, node_ends = 3, np.repeat(d._ends, d._sizes, axis=0)
     b = np.random.default_rng(5).standard_normal((d.n_nodes, 3))
     for s, definite in ((2.0 * d.m, True), (-0.2 * d.m, False)):
-        solve = factor(d, s)
-        x = solve(b)
+        solve = factored(d, s)
+        x = solved(solve, b)
         assert solve.definite == definite and solve._cols == 2 and not solve.refine
         y = solve._trs(*solve._T, np.array(b[V:], order="F"))[0]
         for k in range(3):
             for j in range(2):
                 y[:, k] -= solve._Z[:, j] * x[node_ends[:, j], k]
             np.testing.assert_array_equal(x[V:, k], y[:, k])
-            assert rel_err(solve(b[:, k]), x[:, k]) <= 1e-13
+            assert rel_err(solved(solve, b[:, k]), x[:, k]) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

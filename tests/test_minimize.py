@@ -36,9 +36,9 @@ ENERGY_CLOSED_51 = -0.4082482909472138
 
 
 def test_energy_breakdown_zero(disc_h02):
-    assert energy(disc_h02.zeros(), 5.0) == 0.0
+    assert energy(GraphFunction(disc_h02, np.full(disc_h02.n_nodes, 0j)), 5.0) == 0.0
     with pytest.raises(DomainError):
-        energy(disc_h02.zeros(), 0.5)
+        energy(GraphFunction(disc_h02, np.full(disc_h02.n_nodes, 0j)), 0.5)
 
 
 def test_energy_of_scaled_ground_state(disc_h01, ground_h01):
@@ -96,7 +96,7 @@ def test_multiplier_on_closed_form(disc_h01):
     u = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), disc_h01)
     assert lagrange_multiplier(u, 5.0) == pytest.approx(1.0, abs=5e-4)
     with pytest.raises(DomainError):
-        lagrange_multiplier(disc_h01.zeros(), 5.0)
+        lagrange_multiplier(GraphFunction(disc_h01, np.full(disc_h01.n_nodes, 0j)), 5.0)
 
 
 def test_multiplier_on_nonstationary_state(disc_h01, ground_h01):
@@ -272,7 +272,7 @@ def test_scaling_curve_rejects_non_star():
     ).validate()
     d = mesh.build(g, 0.05)
     with pytest.raises(DomainError, match="star"):
-        scaling_energy_curve(d, 7.0, d.constant(1.0), [1.0])
+        scaling_energy_curve(d, 7.0, GraphFunction(d, np.full(d.n_nodes, 1.0, complex)), [1.0])
 
 
 @pytest.mark.parametrize("error", [BallExitError, ConvergenceError])

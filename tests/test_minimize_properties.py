@@ -15,7 +15,7 @@ from graphwave import minimizers
 from graphwave.evolution import evolve, orbit_distance
 from graphwave.errors import BallExitError, ConvergenceError, DomainError, GraphWaveError
 from graphwave.graphs import Edge, MetricGraph, SquareWell, Vertex, ZeroPotential
-from graphwave.mesh import GraphFunction, build, h1_norm_sq
+from graphwave.mesh import Elimination, GraphFunction, build, h1_norm_sq
 from graphwave.minimizers import minimize
 from graphwave.spectrum import ground_state
 from strategies import small_graphs
@@ -154,7 +154,9 @@ def test_newton_saddle_is_not_returned():
     assert res.omega == pytest.approx(0.978610, abs=1e-6)
     assert res.energy == pytest.approx(-0.320793, abs=1e-6)
     shift = res.omega * d.m - 5.0 * d.m * np.abs(res.phi.values) ** 4
-    assert minimizers.factor(d, shift).n_negative() == 1
+    solve = Elimination(d, float)
+    solve.refactor(shift)
+    assert solve.n_negative() == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -271,7 +271,9 @@ def test_a_trial_shift_with_t_indefinite_runs_no_gttrf(monkeypatch):
                Edge("ha", "a", None, math.inf, 20.0), Edge("hb", "b", None, math.inf, 20.0)),
     ).validate()
     d = mesh.build(g, 0.02)
-    assert not mesh.factor(d, np.zeros(d.n_nodes)).definite
+    trial = mesh.Elimination(d, float)
+    trial.refactor(np.zeros(d.n_nodes))
+    assert not trial.definite
     calls, lapack = [], mesh._lapack
 
     def counted(names, dtype):
