@@ -20,10 +20,11 @@ product with A.
 Both ``evolve`` and ``stability_experiment`` run the one time loop,
 ``_trajectory``: it steps from ``initial_state`` and yields the sampled
 states; each caller only applies its own observables to those samples.
-A trajectory lives in its states: its start builds one workspace, the
-elimination's storage, which each step factors and solves in a single
-LAPACK call (``Elimination.factor_solve``), and the overflow guard; each
-step hands it on to the new state it allocates.
+``initial_state(u0, dt, p)`` is the one way to start a trajectory: it fixes
+u0's grid, dt and p, and builds the elimination's storage, which each step
+factors and solves in a single LAPACK call (``Elimination.factor_solve``),
+and the overflow guard.  ``step(state)`` reads them from there and hands
+them on to the new state it allocates.
 """
 from __future__ import annotations
 
@@ -63,12 +64,12 @@ MAX_STEPS = 10**6
 
 
 class _Workspace:
-    """One trajectory's storage: the CN elimination, factored and solved in
-    one call per step, the step's buffers and the overflow guard."""
+    """One trajectory: u0's grid, dt and p, the CN elimination, factored and
+    solved in one call per step, the step's buffers and the overflow guard."""
 
-    def __init__(self, u: GraphFunction, dt: float, t0: float):
-        d = u.disc
-        self.t0 = t0   # the start's time, from which each state counts its steps
+    def __init__(self, u0: GraphFunction, dt: float, p: float):
+        d = self.d = u0.disc
+        self.dt, self.p = dt, p
         self.elim = Elimination(d, np.complex128)
         self.neg_m, self.scale = -d.m, -4j * d.m / dt
         # the factored shift -m (gam + 2i/dt) keeps its imaginary part
@@ -76,61 +77,61 @@ class _Workspace:
         # |u| of the last state step returned (its sup pass writes it), which
         # the next step from that state reuses for |u|^{p-1}
         self.abs, self.abs_of = np.empty(d.n_nodes), None
-        self.guard = _BLOW_UP_RATIO * float(np.max(np.abs(u.values)))
+        self.guard = _BLOW_UP_RATIO * float(np.max(np.abs(u0.values)))
 
 
 @dataclass
 class EvolutionState:
-    """A trajectory's state; one made without a workspace starts a trajectory and builds it."""
-    t: float
+    """A trajectory's state, made by ``initial_state`` and ``step``."""
     u: GraphFunction
     gamma_relax: np.ndarray    # auxiliary nonlinearity field at the last half step
-    dt: float
-    steps: int = 0             # steps since the trajectory's start: t = t0 + steps dt
-    work: _Workspace | None = field(default=None, repr=False, compare=False)
+    steps: int                 # steps since the trajectory's start at t = 0
+    traj: _Workspace = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.dt == 0.0:
-            raise DomainError("dt must be nonzero")
-        self.work = self.work or _Workspace(self.u, self.dt, self.t)
+    @property
+    def t(self) -> float:
+        # a sum of steps dt would drift; 0.0 + keeps a start at dt < 0 at +0.0
+        return 0.0 + self.steps * self.traj.dt
 
 
 def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
-    """Seed the relaxation field with |u0|^{p-1}, so the first step
-    degenerates to a midpoint linearization.  DomainError unless u0's mass,
-    2 max|u0|^(p-1) (the first step's field) and sum m|u0|^(p+1) are finite."""
+    """Start a trajectory on u0's grid with step dt at exponent p, seeding the
+    relaxation field with |u0|^{p-1}, so the first step degenerates to a
+    midpoint linearization.  DomainError unless u0's mass, 2 max|u0|^(p-1)
+    (the first step's field) and sum m|u0|^(p+1) are finite and dt nonzero."""
     gam = _start_powers(u0.values, u0.disc.m, p, "the start u0")
-    return EvolutionState(t=0.0, u=u0.copy(), gamma_relax=gam, dt=dt)
+    if dt == 0.0:
+        raise DomainError("dt must be nonzero")
+    return EvolutionState(u0.copy(), gam, 0, _Workspace(u0, dt, p))
 
 
-def step(state: EvolutionState, d: Discretization, p: float) -> EvolutionState:
-    """One relaxation Crank-Nicolson step in the state's workspace; BlowUpError
+def step(state: EvolutionState) -> EvolutionState:
+    """One relaxation Crank-Nicolson step of the state's trajectory; BlowUpError
     past its guard, _BLOW_UP_RATIO times the start's sup norm, and DomainError
     naming t, dt, p and max|u|^(p-1) where the step's matrix is singular to
     working precision.  The linear flow is the step at vanishing amplitude:
     |u|^{p-1} then falls below every diagonal entry's last digit."""
-    u, dt, work = state.u.values, state.dt, state.work
-    gam = np.power(work.abs if work.abs_of is u else np.abs(u), p - 1.0)
+    u, traj = state.u.values, state.traj
+    gam = np.power(traj.abs if traj.abs_of is u else np.abs(u), traj.p - 1.0)
     gam *= 2.0
     gam -= state.gamma_relax
-    np.multiply(work.neg_m, gam, out=work.shift.real)
+    np.multiply(traj.neg_m, gam, out=traj.shift.real)
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
     try:
-        u_next = work.elim.factor_solve(work.shift, work.scale, u) - u
+        u_next = traj.elim.factor_solve(traj.shift, traj.scale, u) - u
     except DomainError as exc:
         with np.errstate(over="ignore"):
-            big = np.max(np.abs(u)) ** (p - 1.0)
-        raise DomainError(f"the Crank-Nicolson step from t={state.t!r} by dt={dt!r} at p={p!r}, "
-                          f"where max|u|^(p-1) = {big:.3g}: {exc}") from None
-    steps = state.steps + 1
-    t = work.t0 + steps * dt   # a sum of steps dt would drift
-    sup = float(np.abs(u_next, out=work.abs).max())
-    work.abs_of = u_next
-    if not sup <= work.guard:   # a NaN in the state fails too
-        raise BlowUpError(f"sup norm {sup:.6g} at t={t} is past the overflow guard "
-                          f"{work.guard:.6g}: blow-up suspected", t=t)
-    return EvolutionState(t, GraphFunction(d, u_next), gam, dt, steps, work)
+            big = np.max(np.abs(u)) ** (traj.p - 1.0)
+        raise DomainError(f"the Crank-Nicolson step from t={state.t!r} by dt={traj.dt!r} "
+                          f"at p={traj.p!r}, where max|u|^(p-1) = {big:.3g}: {exc}") from None
+    out = EvolutionState(GraphFunction(traj.d, u_next), gam, state.steps + 1, traj)
+    sup = float(np.abs(u_next, out=traj.abs).max())
+    traj.abs_of = u_next
+    if not sup <= traj.guard:   # a NaN in the state fails too
+        raise BlowUpError(f"sup norm {sup:.6g} at t={out.t} is past the overflow guard "
+                          f"{traj.guard:.6g}: blow-up suspected", t=out.t)
+    return out
 
 
 @dataclass
@@ -159,8 +160,7 @@ def _n_steps(t_final: float, dt: float) -> int:
     return n
 
 
-def _trajectory(d: Discretization, p: float, u0: GraphFunction, dt: float,
-                n_steps: int, sample_every: int):
+def _trajectory(u0: GraphFunction, dt: float, p: float, n_steps: int, sample_every: int):
     """The time loop: yield the state at t=0, after every sample_every-th
     step and after the last step, stopping at the overflow guard."""
     if sample_every < 1:
@@ -168,7 +168,7 @@ def _trajectory(d: Discretization, p: float, u0: GraphFunction, dt: float,
     state = initial_state(u0, dt, p)
     yield state
     for k in range(1, n_steps + 1):
-        state = step(state, d, p)
+        state = step(state)
         if k % sample_every == 0 or k == n_steps:
             yield state
 
@@ -183,11 +183,13 @@ def evolve(
 ) -> tuple[GraphFunction, EvolutionTrace]:
     """Integrate to t_final, sampling (t, mass, energy, sup) along the way.
 
-    t_final must be a whole number of steps dt, and p in (1, MAX_EXPONENT]
-    (DomainError otherwise)."""
+    t_final must be a whole number of steps dt, p in (1, MAX_EXPONENT] and
+    u0 a function on d (DomainError otherwise)."""
     check_exponent(p, "evolve")
+    if u0.disc is not d:   # the trajectory runs on u0's grid
+        raise DomainError("u0 lives on another grid than d")
     trace = EvolutionTrace([], [], [], [])
-    for state in _trajectory(d, p, u0, dt, _n_steps(t_final, dt), sample_every):
+    for state in _trajectory(u0, dt, p, _n_steps(t_final, dt), sample_every):
         trace.times.append(state.t)
         trace.mass.append(mass(state.u))
         trace.energy.append(energy(state.u, p))
@@ -237,11 +239,15 @@ def stability_experiment(
     The perturbed state is rescaled back to the reference mass, so the
     comparison stays on the same sphere; delta must be finite, and the
     perturbed state's mass finite and nonzero.  As in ``evolve``, t_final
-    must be a whole number of steps dt; p must lie in (1, MAX_EXPONENT] and
-    seed be a non-negative integer (DomainError otherwise).  The trace
-    samples every max(1, n_steps // n_samples) steps, n_samples >= 1.
+    must be a whole number of steps dt; p must lie in (1, MAX_EXPONENT],
+    seed be a non-negative integer and phi_ref and bump functions on d
+    (DomainError otherwise).  The trace samples every
+    max(1, n_steps // n_samples) steps, n_samples >= 1.
     """
     check_exponent(p, "the stability experiment")
+    for name, fn in (("phi_ref", phi_ref), ("bump", bump)):
+        if fn is not None and fn.disc is not d:
+            raise DomainError(f"{name} lives on another grid than d")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"noise seed must be a non-negative integer, got seed={seed!r}")
     if not 0 <= delta < math.inf:
@@ -277,7 +283,7 @@ def stability_experiment(
     e_scale = max(abs(e0), 1e-30)
 
     trace = StabilityTrace([], [], [], [])
-    for state in _trajectory(d, p, u0, dt, n_steps, max(1, n_steps // n_samples)):
+    for state in _trajectory(u0, dt, p, n_steps, max(1, n_steps // n_samples)):
         u = state.u
         trace.times.append(state.t)
         trace.orbit_distance.append(orbit_distance(u, phi_ref)[0])

@@ -119,8 +119,8 @@ class Discretization:
         np.add.at(y, ends, coef * x[pos])
         return y
 
-    # scipy.sparse CSR copies, built on first use (for spectral_gap, tests
-    # and demos) and left out of pickles
+    # scipy.sparse CSR copies, built on first use (for tests and the
+    # benchmark) and left out of pickles
     @cached_property
     def A(self):
         return self._csr(self._diag)

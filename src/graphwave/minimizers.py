@@ -143,14 +143,17 @@ def minimize(
     complex128 either way.  Converges when the stationary residual
     || Au/m - |u|^{p-1} u + omega_hat u ||_{L2} / sqrt(c) <= tol.
 
-    Raises DomainError (p not in [5, errors.MAX_EXPONENT], c <= 0, r, tau or
-    tol not in (0, inf), a tau for which max m/tau overflows, max_iter not an
-    integer >= 1, a start that mesh.rescale_to_mass cannot scale to mass c or
-    whose 2 max|u|^(p-1) or sum m|u|^(p+1) overflows; NaN fails every check),
-    FeasibilityError (c > r/lambda0), BallExitError (iterate left B(r)), or
-    ConvergenceError (iteration cap).
+    Raises DomainError (init or ground not on d, p not in [5, MAX_EXPONENT],
+    c <= 0, r, tau or tol not in (0, inf), a tau for which max m/tau overflows,
+    max_iter not an integer >= 1, a start that mesh.rescale_to_mass cannot
+    scale to mass c or whose 2 max|u|^(p-1) or sum m|u|^(p+1) overflows; NaN
+    fails every check), FeasibilityError (c > r/lambda0), BallExitError
+    (iterate left B(r)), or ConvergenceError (iteration cap).
     """
     check_arguments(p, c, r, tau, tol, max_iter)
+    for name, fn in (("init", init), ("ground", ground and ground.psi0)):
+        if fn is not None and fn.disc is not d:
+            raise DomainError(f"{name} lives on another grid than d")
     if tau is None:
         tau = d.h_max
     elif not float(d.m.max()) / tau < math.inf:
@@ -391,10 +394,13 @@ def scaling_energy_curve(d: Discretization, p: float, u: GraphFunction, lambdas)
 
     Resamples by linear interpolation (zero beyond the truncation, where the
     profile must already have decayed); each u_lam keeps the mass of u up to
-    quadrature error.  Returns [(lam, E(u_lam)), ...].
+    quadrature error.  Returns [(lam, E(u_lam)), ...]; u must be a function
+    on d (DomainError otherwise).
     """
     if not d.graph.is_star():
         raise DomainError("the concentration family is defined on star graphs")
+    if u.disc is not d:
+        raise DomainError("u lives on another grid than d")
     lambdas = list(lambdas)
     if any(lam < 1.0 for lam in lambdas):
         raise DomainError("lam >= 1 required so the support stays inside the truncation")

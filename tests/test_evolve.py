@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphwave import evolution, mesh
 from graphwave.errors import BlowUpError, ConfigurationError, DomainError
 from graphwave.evolution import (
-    EvolutionState,
     evolve,
     initial_state,
     orbit_distance,
@@ -55,7 +54,7 @@ def test_linear_overlap_modulus_constant(small_setup):
     state = initial_state(u0, 0.01, 5.0)
     base = abs(np.sum(d.m * state.u.values / TINY * gs.psi0.values))
     for _ in range(100):
-        state = step(state, d, 5.0)
+        state = step(state)
     after = abs(np.sum(d.m * state.u.values / TINY * gs.psi0.values))
     assert after == pytest.approx(base, rel=1e-12)
 
@@ -87,15 +86,15 @@ def test_step_solves_the_crank_nicolson_equation(d, p, seed, dt):
     n = d.n_nodes
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     gam_prev = np.abs(u) ** (p - 1.0) * rng.uniform(0.5, 1.5, n)
-    state = EvolutionState(t=0.5, u=GraphFunction(d, u), gamma_relax=gam_prev, dt=dt)
-    out = step(state, d, p)
+    state = dataclasses.replace(initial_state(GraphFunction(d, u), dt, p), gamma_relax=gam_prev)
+    out = step(state)
     gam = 2.0 * np.abs(u) ** (p - 1.0) - gam_prev
     half = 0.5 * d.A.toarray()
     rhs = (1j * d.m / dt - 0.5 * d.m * gam) * u + half @ u
     ref = np.linalg.solve(np.diag(1j * d.m / dt + 0.5 * d.m * gam) - half, rhs)
     assert np.linalg.norm(out.u.values - ref) <= 1e-10 * np.linalg.norm(ref)
     np.testing.assert_array_equal(out.gamma_relax, gam)
-    assert out.t == 0.5 + dt
+    assert out.t == dt
     np.testing.assert_array_equal(state.u.values, u)
 
 
@@ -106,7 +105,7 @@ def test_yielded_states_are_never_written_again(small_setup, p, sample_every):
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
     kept = []
-    for state in evolution._trajectory(d, p, u0, 0.01, 20, sample_every):
+    for state in evolution._trajectory(u0, 0.01, p, 20, sample_every):
         kept.append((state, state.u.values.copy(), state.gamma_relax.copy()))
     assert len(kept) == 1 + 20 // sample_every + (20 % sample_every > 0)
     for state, u, gam in kept:
@@ -123,9 +122,10 @@ def test_trajectory_reusing_the_modulus_is_bit_identical(small_setup, sample_eve
     uT, trace = evolve(d, 5.0, u0, 0.01, 0.12, sample_every=sample_every)
     state, energies = initial_state(u0, 0.01, 5.0), [trace.energy[0]]
     for k in range(1, 13):
-        # a hand-made state builds a workspace of its own, so the reference
-        # step gets fresh storage and computes |u| afresh
-        state = step(EvolutionState(state.t, state.u, state.gamma_relax, state.dt), d, 5.0)
+        # a state restarted from this one is a trajectory of its own, so the
+        # reference step gets fresh storage and computes |u| afresh
+        state = step(dataclasses.replace(initial_state(state.u, 0.01, 5.0),
+                                         gamma_relax=state.gamma_relax, steps=state.steps))
         if k % sample_every == 0:
             energies.append(evolution.energy(state.u, 5.0))
     np.testing.assert_array_equal(uT.values, state.u.values)
@@ -158,10 +158,10 @@ def test_time_reversibility(small_setup):
     n, dt = 50, 0.01
     state = initial_state(u0, dt, 5.0)
     for _ in range(n):
-        state = step(state, d, 5.0)
+        state = step(state)
     back = initial_state(state.u, -dt, 5.0)
     for _ in range(n):
-        back = step(back, d, 5.0)
+        back = step(back)
     err = float(np.max(np.abs(back.u.values - u0.values)))
     assert err <= 10.0 * n * abs(dt) ** 3
 
@@ -235,7 +235,7 @@ def test_sample_times_are_whole_multiples_of_dt(small_setup):
     assert trace.times[-1] == 20.0
     state = initial_state(u0, 0.01, 5.0)
     for k in range(1, 101):
-        state = step(state, d, 5.0)
+        state = step(state)
     assert state.t == trace.times[1]
     stab = stability_experiment(d, 5.0, u0, 0.0, 20.0, 0.01, n_samples=4)
     assert stab.times == [k * 0.01 for k in range(0, 2001, 500)]
@@ -253,9 +253,9 @@ def test_blow_up_guard_triggers(small_setup):
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
     state = initial_state(u0, 0.01, 5.0)
-    state.work.guard = 1e-12
+    state.traj.guard = 1e-12
     with pytest.raises(BlowUpError):
-        step(state, d, 5.0)
+        step(state)
 
 
 def test_a_hand_stepped_trajectory_keeps_its_guard(small_setup):
@@ -263,10 +263,10 @@ def test_a_hand_stepped_trajectory_keeps_its_guard(small_setup):
     # whose sup norm is 2^200 times the start's trips it on its next step
     d, _ = small_setup
     u0 = GraphFunction(d, TINY * evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d).values)
-    state = step(initial_state(u0, 0.01, 5.0), d, 5.0)
+    state = step(initial_state(u0, 0.01, 5.0))
     grown = dataclasses.replace(state, u=GraphFunction(d, state.u.values / TINY))
     with pytest.raises(BlowUpError, match="overflow guard"):
-        step(grown, d, 5.0)
+        step(grown)
 
 
 def test_chained_steps_share_one_elimination(monkeypatch, small_setup):
@@ -282,8 +282,8 @@ def test_chained_steps_share_one_elimination(monkeypatch, small_setup):
     monkeypatch.setattr(mesh.Elimination, "__init__", counting_init)
     state = initial_state(evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d), 0.01, 5.0)
     for _ in range(10):
-        state = step(state, d, 5.0)
-    assert len(built) == 1 and state.work.elim is built[0]
+        state = step(state)
+    assert len(built) == 1 and state.traj.elim is built[0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -390,3 +390,54 @@ def test_stability_sample_count_must_be_positive(reference_minimizer, n_samples)
     with pytest.raises(DomainError, match="n_samples"):
         stability_experiment(d, 6.0, res.phi, delta=1e-2, t_final=0.1, dt=0.01, bump=gs.psi0,
                              n_samples=n_samples)
+
+
+def test_a_state_holds_only_what_varies_along_its_trajectory(small_setup):
+    # the grid, dt and p are the trajectory's, set once by initial_state: a
+    # state whose t, dt, grid or p contradicted its workspace stepped silently
+    d, _ = small_setup
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
+    state = step(step(initial_state(u0, 0.01, 5.0)))
+    assert [f.name for f in dataclasses.fields(state)] == ["u", "gamma_relax", "steps", "traj"]
+    assert (state.traj.d, state.traj.dt, state.traj.p) == (d, 0.01, 5.0)
+    assert state.u.disc is d and state.t == state.steps * 0.01 == 0.02
+    for bad in ({"t": 5.0}, {"dt": 0.02}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(state, **bad)
+
+
+def test_the_time_loop_calls_step_through_the_module(monkeypatch, reference_minimizer):
+    # the benchmark's tracer wraps evolution.step and reports its calls: a
+    # loop that inlined the step would read zero there
+    d, gs, res = reference_minimizer
+    calls = []
+
+    def counting_step(state):
+        calls.append(state.steps)
+        return step(state)
+
+    monkeypatch.setattr(evolution, "step", counting_step)
+    evolve(d, 6.0, res.phi, 0.01, 0.1)
+    assert calls == list(range(10))
+    calls.clear()
+    stability_experiment(d, 6.0, res.phi, 0.01, 0.3, 0.01, bump=gs.psi0, n_samples=7)
+    assert calls == list(range(30))
+
+
+def test_a_function_on_another_grid_is_refused_naming_it():
+    # gamma = 2 gives a grid of the same size: evolve on it stepped u0 with
+    # that grid's matrix, and the energy jumped from -0.41291 to -1.23025 in
+    # one step; the trajectory runs on u0's grid, so d must be that grid
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 10.0)), 0.1)
+    d2 = mesh.build(make_star(StarGraphSpec(3, 2.0, 10.0)), 0.1)
+    assert d2.n_nodes == d.n_nodes
+    u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
+    energy = evolve(d, 5.0, u0, 0.01, 0.02)[1].energy
+    assert energy[-1] == pytest.approx(energy[0], rel=1e-5)
+    with pytest.raises(DomainError, match="u0 lives on another grid than d"):
+        evolve(d2, 5.0, u0, 0.01, 0.02)
+    bump = ground_state(d2).psi0
+    with pytest.raises(DomainError, match="phi_ref lives on another grid than d"):
+        stability_experiment(d2, 5.0, u0, 0.01, 0.02, 0.01, bump=bump)
+    with pytest.raises(DomainError, match="bump lives on another grid than d"):
+        stability_experiment(d, 5.0, u0, 0.01, 0.02, 0.01, bump=bump)

@@ -17,6 +17,7 @@ from graphwave.minimizers import (
     scaling_energy_curve,
     structure_diagnostics,
 )
+from graphwave.spectrum import ground_state
 from graphwave.starwaves import (
     ClosedFormWave,
     evaluate_wave,
@@ -273,6 +274,23 @@ def test_scaling_curve_rejects_non_star():
     d = mesh.build(g, 0.05)
     with pytest.raises(DomainError, match="star"):
         scaling_energy_curve(d, 7.0, GraphFunction(d, np.full(d.n_nodes, 1.0, complex)), [1.0])
+
+
+def test_a_start_or_ground_on_another_grid_is_refused_naming_it():
+    # gamma = 2 gives a grid of the same size, whose lambda0 = 0.444 set the
+    # bound r/lambda0 = 2.2525: minimize refused c = 2.7136 as infeasible,
+    # though d's bound is 9.049 and the solve there converges
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 10.0)), 0.1)
+    d2 = mesh.build(make_star(StarGraphSpec(3, 2.0, 10.0)), 0.1)
+    assert d2.n_nodes == d.n_nodes
+    assert minimize(d, 6.0, 2.7136, 1.0).omega == pytest.approx(0.3549, abs=1e-4)
+    with pytest.raises(DomainError, match="ground lives on another grid than d"):
+        minimize(d, 6.0, 2.7136, 1.0, ground=ground_state(d2))
+    u = evaluate_wave(ClosedFormWave(3, 2.0, 7.0, 1.0, 0), d2)
+    with pytest.raises(DomainError, match="init lives on another grid than d"):
+        minimize(d, 6.0, 2.7136, 1.0, init=u)
+    with pytest.raises(DomainError, match="u lives on another grid than d"):
+        scaling_energy_curve(d, 7.0, u, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("error", [BallExitError, ConvergenceError])
