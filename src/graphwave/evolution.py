@@ -83,10 +83,14 @@ class _Workspace:
 @dataclass
 class EvolutionState:
     """A trajectory's state, made by ``initial_state`` and ``step``."""
-    u: GraphFunction
+    values: np.ndarray         # u on the trajectory's grid
     gamma_relax: np.ndarray    # auxiliary nonlinearity field at the last half step
     steps: int                 # steps since the trajectory's start at t = 0
     traj: _Workspace = field(repr=False, compare=False)
+
+    @property
+    def u(self) -> GraphFunction:
+        return GraphFunction(self.traj.d, self.values)
 
     @property
     def t(self) -> float:
@@ -102,7 +106,7 @@ def initial_state(u0: GraphFunction, dt: float, p: float) -> EvolutionState:
     gam = _start_powers(u0.values, u0.disc.m, p, "the start u0")
     if dt == 0.0:
         raise DomainError("dt must be nonzero")
-    return EvolutionState(u0.copy(), gam, 0, _Workspace(u0, dt, p))
+    return EvolutionState(u0.values.copy(), gam, 0, _Workspace(u0, dt, p))
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -111,11 +115,12 @@ def step(state: EvolutionState) -> EvolutionState:
     naming t, dt, p and max|u|^(p-1) where the step's matrix is singular to
     working precision.  The linear flow is the step at vanishing amplitude:
     |u|^{p-1} then falls below every diagonal entry's last digit."""
-    u, traj = state.u.values, state.traj
-    gam = np.power(traj.abs if traj.abs_of is u else np.abs(u), traj.p - 1.0)
-    gam *= 2.0
-    gam -= state.gamma_relax
-    np.multiply(traj.neg_m, gam, out=traj.shift.real)
+    u, traj = state.values, state.traj
+    with np.errstate(over="ignore"):   # an infinite shift is refused as singular below
+        gam = np.power(traj.abs if traj.abs_of is u else np.abs(u), traj.p - 1.0)
+        gam *= 2.0
+        gam -= state.gamma_relax
+        np.multiply(traj.neg_m, gam, out=traj.shift.real)
     # Cayley form: with L = i M/dt - A/2 + M gam/2 the right side is
     # (2i M/dt - L) u, so u_next = L^{-1} (2i M/dt) u - u; the matrix is -2L
     try:
@@ -125,7 +130,7 @@ def step(state: EvolutionState) -> EvolutionState:
             big = np.max(np.abs(u)) ** (traj.p - 1.0)
         raise DomainError(f"the Crank-Nicolson step from t={state.t!r} by dt={traj.dt!r} "
                           f"at p={traj.p!r}, where max|u|^(p-1) = {big:.3g}: {exc}") from None
-    out = EvolutionState(GraphFunction(traj.d, u_next), gam, state.steps + 1, traj)
+    out = EvolutionState(u_next, gam, state.steps + 1, traj)
     sup = float(np.abs(u_next, out=traj.abs).max())
     traj.abs_of = u_next
     if not sup <= traj.guard:   # a NaN in the state fails too
@@ -193,7 +198,7 @@ def evolve(
         trace.times.append(state.t)
         trace.mass.append(mass(state.u))
         trace.energy.append(energy(state.u, p))
-        trace.sup.append(float(np.max(np.abs(state.u.values))))
+        trace.sup.append(float(np.max(np.abs(state.values))))
     return state.u, trace
 
 
@@ -201,7 +206,10 @@ def orbit_distance(u: GraphFunction, phi_ref: GraphFunction) -> tuple[float, flo
     """Distance in H1 from u to the phase circle of phi_ref.
 
     The optimal phase is exactly theta = arg <u, phi_ref>_{H1}; returns
-    (min_theta ||u - e^{i theta} phi_ref||_{H1}, theta)."""
+    (min_theta ||u - e^{i theta} phi_ref||_{H1}, theta).  DomainError unless
+    phi_ref is nonzero and lives on u's grid."""
+    if phi_ref.disc is not u.disc:
+        raise DomainError("phi_ref lives on another grid than u")
     if mass(phi_ref) == 0.0:
         raise DomainError("reference profile must be nonzero")
     theta = float(np.angle(h1_inner(u, phi_ref)))

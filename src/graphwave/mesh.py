@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -119,15 +119,10 @@ class Discretization:
         np.add.at(y, ends, coef * x[pos])
         return y
 
-    # scipy.sparse CSR copies, built on first use (for tests and the
-    # benchmark) and left out of pickles
-    @cached_property
-    def A(self):
-        return self._csr(self._diag)
-
-    @cached_property
-    def K(self):
-        return self._csr(self._diag_k)
+    # scipy.sparse CSR copies, built on each read; only tests and the
+    # benchmark read them
+    A = property(lambda self: self._csr(self._diag))
+    K = property(lambda self: self._csr(self._diag_k))
 
     def _csr(self, diag):
         import scipy.sparse as sp
@@ -139,9 +134,6 @@ class Discretization:
         csr = (sp.diags([off, diag, off], [-1, 0, 1]) + B + B.T).tocsr()
         csr.eliminate_zeros()
         return csr
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("A", "K")}
 
     def from_edge_profiles(self, profile) -> "GraphFunction":
         """Sample ``profile(edge_index, x_array) -> values`` on every edge.
@@ -169,9 +161,6 @@ class GraphFunction:
                 f"value vector has length {self.values.shape}, "
                 f"expected ({self.disc.n_nodes},)"
             )
-
-    def copy(self) -> "GraphFunction":
-        return GraphFunction(self.disc, self.values.copy())
 
 
 def check_grid(n_vertices: int, edges, target_h: float) -> list[int]:
@@ -382,22 +371,24 @@ class Elimination:
         r = x[:V].copy()
         np.add.at(r, d._ends, self._neg * y[d._pos])
         x[:V] = x_v = self._getrs(self._lu, self._piv, r)[0]
-        for j in range(self._cols):
-            for k in range(x.shape[1]):
-                z = np.repeat(x_v[d._ends[:, j], k], d._sizes)
-                y[:, k] -= np.multiply(self._Z[:, j], z, out=z)
+        self._subtract_z(y, x_v)
         if not np.may_share_memory(y, x):   # overwrite_b is a request, not a promise
             x[V:] = y
         return x
 
+    def _subtract_z(self, y: np.ndarray, x_v: np.ndarray) -> None:
+        """The back-substitution y -= Z x_v, for y of shape (n - V, k) and x_v of shape (V, k)."""
+        d = self.d
+        for j in range(self._cols):
+            for k in range(y.shape[1]):
+                z = np.repeat(x_v[d._ends[:, j], k], d._sizes)
+                y[:, k] -= np.multiply(self._Z[:, j], z, out=z)
+
     def extend(self, y: np.ndarray) -> np.ndarray:
         """x = (y, -Z y), which A + diag(shift) maps to (S y, 0), for vertex values y."""
-        d, x = self.d, np.empty(self.d.n_nodes, self.dtype)
+        x = np.zeros(self.d.n_nodes, self.dtype)
         x[:self.V] = y
-        np.multiply(self._Z[:, 0], np.repeat(-y[d._ends[:, 0]], d._sizes), out=x[self.V:])
-        if self._cols == 2:
-            z = np.repeat(y[d._ends[:, 1]], d._sizes)
-            x[self.V:] -= np.multiply(self._Z[:, 1], z, out=z)
+        self._subtract_z(x[self.V:, None], x[:self.V, None])
         return x
 
     def solve_in_place(self, x: np.ndarray) -> None:
@@ -474,7 +465,9 @@ def h1_norm_sq(u: GraphFunction) -> float:
 
 
 def h1_inner(u: GraphFunction, v: GraphFunction) -> complex:
-    """H1 inner product <u, v> (conjugate-linear in v)."""
+    """H1 inner product <u, v> (conjugate-linear in v); DomainError unless v is on u's grid."""
+    if v.disc is not u.disc:
+        raise DomainError("v lives on another grid than u")
     return complex(np.vdot(v.values, u.disc.apply_k(u.values))
                    + np.vdot(v.values, u.disc.m * u.values))
 

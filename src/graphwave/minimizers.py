@@ -262,7 +262,6 @@ def _descend(d, p, c, r, tau, tol, max_iter, lam0, u):
     m = d.m
     solve = None
     res_history: list[float] = []
-    residual = math.inf
     next_polish = 0.1
     for it in range(1, max_iter + 1):
         s = _measure(d, p, c, lam0, u)

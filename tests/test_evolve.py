@@ -264,7 +264,7 @@ def test_a_hand_stepped_trajectory_keeps_its_guard(small_setup):
     d, _ = small_setup
     u0 = GraphFunction(d, TINY * evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d).values)
     state = step(initial_state(u0, 0.01, 5.0))
-    grown = dataclasses.replace(state, u=GraphFunction(d, state.u.values / TINY))
+    grown = dataclasses.replace(state, values=state.values / TINY)
     with pytest.raises(BlowUpError, match="overflow guard"):
         step(grown)
 
@@ -325,6 +325,37 @@ def test_orbit_distance_identities(small_setup):
 
     with pytest.raises(DomainError):
         orbit_distance(phi, GraphFunction(d, np.full(d.n_nodes, 0j)))
+
+
+def test_the_h1_distance_refuses_a_second_grid():
+    # two 298-node 3-stars: the distance mixed their grids and read 0.5145
+    # one way round and 0.4026 the other
+    da = mesh.build(make_star(StarGraphSpec(3, 1.0, 10.0)), 0.1)
+    db = mesh.build(make_star(StarGraphSpec(3, 1.0, 5.0)), 0.05)
+    assert da.n_nodes == db.n_nodes == 298
+    a, b = ground_state(da).psi0, ground_state(db).psi0
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match="v lives on another grid than u"):
+            mesh.h1_inner(u, v)
+        with pytest.raises(DomainError, match="phi_ref lives on another grid than u"):
+            orbit_distance(u, v)
+    assert orbit_distance(a, a)[0] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sup, field", [(2.5e6, "inf"), (1e308 ** (1 / 49), "1e\\+308")])
+def test_an_overflowing_field_is_refused_without_a_warning(sup, field):
+    # 3x the exact p = 50 wave starts below the guard (sup 3.197, guard
+    # 3.2e6); scaled to sup 2.5e6, max|u|^49 overflows, which warned
+    # "overflow encountered in power" before the singular matrix was
+    # refused; at a field of 1e308, doubling it warned "... in multiply"
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 10.0)), 0.1)
+    u0 = GraphFunction(d, 3.0 * evaluate_wave(ClosedFormWave(3, 1.0, 50.0, 1.0, 0), d).values)
+    state = initial_state(u0, 0.01, 50.0)
+    assert state.traj.guard == pytest.approx(3.2e6, rel=1e-3)
+    big = dataclasses.replace(state, values=state.values * (sup / np.max(np.abs(u0.values))))
+    with pytest.raises(DomainError, match=rf"max\|u\|\^\(p-1\) = {field}: .* singular"):
+        step(big)
 
 
 @pytest.fixture(scope="module")
@@ -398,10 +429,11 @@ def test_a_state_holds_only_what_varies_along_its_trajectory(small_setup):
     d, _ = small_setup
     u0 = evaluate_wave(ClosedFormWave(3, 1.0, 5.0, 1.0, 0), d)
     state = step(step(initial_state(u0, 0.01, 5.0)))
-    assert [f.name for f in dataclasses.fields(state)] == ["u", "gamma_relax", "steps", "traj"]
+    assert [f.name for f in dataclasses.fields(state)] == ["values", "gamma_relax", "steps",
+                                                           "traj"]
     assert (state.traj.d, state.traj.dt, state.traj.p) == (d, 0.01, 5.0)
     assert state.u.disc is d and state.t == state.steps * 0.01 == 0.02
-    for bad in ({"t": 5.0}, {"dt": 0.02}):
+    for bad in ({"t": 5.0}, {"dt": 0.02}, {"u": state.u}):
         with pytest.raises(TypeError):
             dataclasses.replace(state, **bad)
 

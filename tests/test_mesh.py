@@ -661,7 +661,7 @@ def test_pickle_leaves_out_the_csr_copies():
 
     d = build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.05)
     size = len(pickle.dumps(d))
-    d.A, d.K   # built on first use
+    d.A, d.K   # built on each read
     data = pickle.dumps(d)
     assert len(data) == size
     copy = pickle.loads(data)

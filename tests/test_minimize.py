@@ -420,6 +420,45 @@ def test_newton_declines_an_iterate_without_constant_phase(monkeypatch, disc_h02
     assert twisted.diagnostics["phase_constant_ok"]
 
 
+@pytest.fixture(scope="module")
+def newton_star():
+    # the 3-star of length 30 at h = 0.05, p = 6, c = 1, r = 1, tau = 1: the
+    # flow's first iterate is polished by two Newton steps
+    d = mesh.build(make_star(StarGraphSpec(3, 1.0, 30.0)), 0.05)
+    res = minimize(d, 6.0, 1.0, 1.0, tau=1.0)
+    assert (res.iterations, res.newton_steps) == (1, 2)
+    return d, res
+
+
+def _flow_alone(d, polished):
+    # what minimize returns when every Newton attempt gives up: the flow's own minimizer
+    res = minimize(d, 6.0, 1.0, 1.0, tau=1.0)
+    assert res.newton_steps == 0 and res.iterations > 1
+    assert res.omega == pytest.approx(polished.omega, rel=1e-8)
+    assert res.gradient_residual <= 1e-8
+    assert all(v for k, v in res.diagnostics.items() if k.endswith("_ok"))
+
+
+def test_newton_gives_up_at_its_step_cap(monkeypatch, newton_star):
+    d, polished = newton_star
+    monkeypatch.setattr(minimizers, "_NEWTON_STEPS", 0)
+    _flow_alone(d, polished)
+
+
+def test_newton_gives_up_at_a_singular_jacobian(monkeypatch, newton_star):
+    # J's shift m (omega - p |v|^{p-1}) is negative near the peak, the
+    # flow's m / tau never is: only J is refused as singular
+    class SingularJ(mesh.Elimination):
+        def refactor(self, shift):
+            if np.any(shift < 0.0):
+                raise DomainError("A + diag(shift) is singular")
+            super().refactor(shift)
+
+    d, polished = newton_star
+    monkeypatch.setattr(minimizers, "Elimination", SingularJ)
+    _flow_alone(d, polished)
+
+
 def test_a_mass_whose_start_overflows_is_refused_naming_c_and_p():
     # on the mass-1e20 sphere max|u|^49 overflows: minimize warned three
     # times in its first measurement, then raised "flow diverged at iteration 1"
